@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyAudio, NotWav, SignalTooShort, UnsupportedEncoding
+from .errors import EmptyAudio, NotWav, SignalTooShort, UnreadableAudio, UnsupportedEncoding
 
 PCM_SCALE = 32768.0  # int16 full scale
 MIN_SAMPLE_RATE = 8000  # speech-band floor
@@ -69,27 +69,31 @@ def load_wav(path) -> AudioSignal:
     content is rejected rather than converted.
     """
     path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-    if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
-        raise NotWav(f"{path}: not a RIFF/WAVE file")
-
     try:
-        with wave.open(str(path), "rb") as wav:
-            n_channels = wav.getnchannels()
-            sample_width = wav.getsampwidth()
-            comp_type = wav.getcomptype()
-            sample_rate = wav.getframerate()
-            n_frames = wav.getnframes()
-            if n_channels != 1:
-                raise UnsupportedEncoding(f"{path}: expected mono, got {n_channels} channels")
-            if sample_width != 2 or comp_type != "NONE":
-                raise UnsupportedEncoding(f"{path}: expected 16-bit PCM")
-            if n_frames == 0:
-                raise EmptyAudio(f"{path}: zero data samples")
-            raw = wav.readframes(n_frames)
+        with open(path, "rb") as fh:
+            header = fh.read(12)
+            if len(header) < 12 or header[:4] != b"RIFF" or header[8:12] != b"WAVE":
+                raise NotWav(f"{path}: not a RIFF/WAVE file")
+            fh.seek(0)
+            with wave.open(fh, "rb") as wav:
+                n_channels = wav.getnchannels()
+                sample_width = wav.getsampwidth()
+                comp_type = wav.getcomptype()
+                sample_rate = wav.getframerate()
+                n_frames = wav.getnframes()
+                if n_channels != 1:
+                    raise UnsupportedEncoding(f"{path}: expected mono, got {n_channels} channels")
+                if sample_width != 2 or comp_type != "NONE":
+                    raise UnsupportedEncoding(f"{path}: expected 16-bit PCM")
+                if n_frames == 0:
+                    raise EmptyAudio(f"{path}: zero data samples")
+                raw = wav.readframes(n_frames)
     except wave.Error as exc:
         raise UnsupportedEncoding(f"{path}: {exc}") from exc
+    except EOFError as exc:
+        raise UnreadableAudio(f"{path}: file ends inside a chunk header") from exc
+    except OSError as exc:
+        raise UnreadableAudio(f"{path}: {exc.strerror or exc}") from exc
 
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size == 0:

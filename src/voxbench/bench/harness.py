@@ -10,6 +10,7 @@ sweep.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -247,7 +248,108 @@ def _evaluate_split(reduced, table, train_mask, classifier: ClassifierSpec, seed
     }
 
 
-# --- single combination ---------------------------------------------------------
+# --- stage graph ------------------------------------------------------------------
+
+def _failure(exc: PipelineError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _grid_entries(
+    manifest: CorpusManifest,
+    grid: SweepGrid,
+    master_seed: int,
+    settings: HarnessSettings,
+    jobs: int = 1,
+    self_test: bool = False,
+) -> list[dict]:
+    """One report entry per grid cell, sorted by (reducer, extractor, classifier).
+
+    Stage outputs are shared: one frame table and train mask per extractor,
+    one embedding per extractor/reducer pair, then the cells on `jobs`
+    threads. Seeds derive from (master_seed, stage tag), so serial and
+    parallel runs, and a cell run on its own, produce identical entries.
+    self_test trains and evaluates on the same frames (a validation hook).
+    """
+    rotation = derive_seed(master_seed, "split")
+
+    tables: dict[str, FrameTable] = {}
+    masks: dict[str, np.ndarray] = {}
+    stage_errors: dict[tuple[str, str], str] = {}  # (extractor, reducer) -> failure reason
+    for extractor in grid.extractors:
+        try:
+            table = corpus_frames(manifest, extractor, settings)
+            tables[extractor.kind] = table
+            if self_test:
+                masks[extractor.kind] = np.ones(table.speakers.size, dtype=bool)
+            else:
+                masks[extractor.kind] = holdout_train_mask(manifest, table, rotation)
+        except PipelineError as exc:
+            stage_errors.update({(extractor.kind, r.method): _failure(exc) for r in grid.reducers})
+
+    reduced: dict[tuple[str, str], np.ndarray] = {}
+    for extractor in grid.extractors:
+        for reducer in grid.reducers:
+            key = (extractor.kind, reducer.method)
+            if key in stage_errors:
+                continue
+            try:
+                seed = derive_seed(master_seed, f"embed:{extractor.kind}:{reducer.method}")
+                reduced[key], _ = reduce_for_pipeline(
+                    tables[extractor.kind].features,
+                    masks[extractor.kind],
+                    reducer.method,
+                    target_dim=reducer.target_dim,
+                    sne_config=reducer.sne_config(seed),
+                )
+            except PipelineError as exc:
+                stage_errors[key] = _failure(exc)
+
+    def run_cell(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec) -> dict:
+        key = (extractor.kind, reducer.method)
+        combo_tag = f"{extractor.kind}:{reducer.method}:{classifier.name}"
+        entry = {
+            "extractor": extractor.kind,
+            "reducer": reducer.method,
+            "classifier": classifier.name,
+            "seed": derive_seed(master_seed, combo_tag),
+            "transductive": reducer.method == "sne",
+            "split_rotation": rotation % 10**9,
+        }
+        reason = stage_errors.get(key)
+        if reason is None:
+            try:
+                entry.update(
+                    _evaluate_split(
+                        reduced[key],
+                        tables[extractor.kind],
+                        masks[extractor.kind],
+                        classifier,
+                        entry["seed"],
+                        settings,
+                        self_test,
+                    )
+                )
+            except PipelineError as exc:
+                reason = _failure(exc)
+        entry["status"] = "ok" if reason is None else "failed"
+        if reason is not None:
+            entry["failure_reason"] = reason
+        return entry
+
+    cells = [
+        (extractor, reducer, classifier)
+        for reducer in grid.reducers
+        for extractor in grid.extractors
+        for classifier in grid.classifiers
+    ]
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            entries = list(pool.map(lambda cell: run_cell(*cell), cells))
+    else:
+        entries = [run_cell(*cell) for cell in cells]
+    entries.sort(key=lambda e: (e["reducer"], e["extractor"], e["classifier"]))
+    return entries
+
 
 def run_combination(
     manifest: CorpusManifest,
@@ -255,48 +357,17 @@ def run_combination(
     reducer: ReducerSpec,
     classifier: ClassifierSpec,
     master_seed: int = 0,
-    rotation: Optional[int] = None,
     settings: HarnessSettings = HarnessSettings(),
     self_test: bool = False,
 ) -> dict:
     """Run one pipeline combination end to end and return its report entry.
 
-    self_test trains and evaluates on the same frames (a validation hook);
-    normal runs hold one recording per speaker out for the test side.
+    The entry equals the matching entry of a run_sweep with the same seed and
+    settings. self_test trains and evaluates on the same frames (a validation
+    hook); normal runs hold one recording per speaker out for the test side.
     """
-    if rotation is None:
-        rotation = derive_seed(master_seed, "split")
-    combo_tag = f"{extractor.kind}:{reducer.method}:{classifier.name}"
-    entry = {
-        "extractor": extractor.kind,
-        "reducer": reducer.method,
-        "classifier": classifier.name,
-        "seed": derive_seed(master_seed, combo_tag),
-        "transductive": reducer.method == "sne",
-        "split_rotation": rotation % 10**9,
-    }
-    try:
-        table = corpus_frames(manifest, extractor, settings)
-        if self_test:
-            train_mask = np.ones(table.speakers.size, dtype=bool)
-        else:
-            train_mask = holdout_train_mask(manifest, table, rotation)
-        reduced, info = reduce_for_pipeline(
-            table.features,
-            train_mask,
-            reducer.method,
-            target_dim=reducer.target_dim,
-            sne_config=reducer.sne_config(derive_seed(master_seed, f"embed:{extractor.kind}:{reducer.method}")),
-        )
-        entry["transductive"] = info["transductive"]
-        entry.update(
-            _evaluate_split(reduced, table, train_mask, classifier, entry["seed"], settings, self_test)
-        )
-        entry["status"] = "ok"
-    except PipelineError as exc:
-        entry["status"] = "failed"
-        entry["failure_reason"] = f"{type(exc).__name__}: {exc}"
-    return entry
+    grid = SweepGrid((extractor,), (reducer,), (classifier,))
+    return _grid_entries(manifest, grid, master_seed, settings, self_test=self_test)[0]
 
 
 # --- full sweep -------------------------------------------------------------------
@@ -323,91 +394,10 @@ def run_sweep(
 ) -> dict:
     """Every grid combination on one shared split; optionally writes report files.
 
-    Stage outputs are shared: one frame table per extractor, one embedding per
-    extractor/reducer pair. Seeds derive from (master_seed, stage tag), so
-    serial and parallel sweeps produce identical reports.
+    Seeds derive from (master_seed, stage tag), so serial and parallel sweeps
+    produce identical reports.
     """
     grid = grid or default_grid()
-    rotation = derive_seed(master_seed, "split")
-
-    tables: dict[str, FrameTable] = {}
-    masks: dict[str, np.ndarray] = {}
-    stage_errors: dict[str, str] = {}
-    for extractor in grid.extractors:
-        try:
-            table = corpus_frames(manifest, extractor, settings)
-            tables[extractor.kind] = table
-            masks[extractor.kind] = holdout_train_mask(manifest, table, rotation)
-        except PipelineError as exc:
-            stage_errors[extractor.kind] = f"{type(exc).__name__}: {exc}"
-
-    reduced: dict[tuple[str, str], np.ndarray] = {}
-    transductive: dict[str, bool] = {}
-    for extractor in grid.extractors:
-        if extractor.kind in stage_errors:
-            continue
-        for reducer in grid.reducers:
-            key = (extractor.kind, reducer.method)
-            try:
-                seed = derive_seed(master_seed, f"embed:{extractor.kind}:{reducer.method}")
-                reduced[key], info = reduce_for_pipeline(
-                    tables[extractor.kind].features,
-                    masks[extractor.kind],
-                    reducer.method,
-                    target_dim=reducer.target_dim,
-                    sne_config=reducer.sne_config(seed),
-                )
-                transductive[reducer.method] = info["transductive"]
-            except PipelineError as exc:
-                stage_errors[f"{extractor.kind}:{reducer.method}"] = f"{type(exc).__name__}: {exc}"
-
-    def run_cell(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec) -> dict:
-        combo_tag = f"{extractor.kind}:{reducer.method}:{classifier.name}"
-        entry = {
-            "extractor": extractor.kind,
-            "reducer": reducer.method,
-            "classifier": classifier.name,
-            "seed": derive_seed(master_seed, combo_tag),
-            "transductive": reducer.method == "sne",
-            "split_rotation": rotation % 10**9,
-        }
-        reason = stage_errors.get(extractor.kind) or stage_errors.get(
-            f"{extractor.kind}:{reducer.method}"
-        )
-        if reason is not None:
-            entry["status"] = "failed"
-            entry["failure_reason"] = reason
-            return entry
-        try:
-            entry.update(
-                _evaluate_split(
-                    reduced[(extractor.kind, reducer.method)],
-                    tables[extractor.kind],
-                    masks[extractor.kind],
-                    classifier,
-                    entry["seed"],
-                    settings,
-                )
-            )
-            entry["status"] = "ok"
-        except PipelineError as exc:
-            entry["status"] = "failed"
-            entry["failure_reason"] = f"{type(exc).__name__}: {exc}"
-        return entry
-
-    cells = [
-        (extractor, reducer, classifier)
-        for reducer in grid.reducers
-        for extractor in grid.extractors
-        for classifier in grid.classifiers
-    ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(lambda cell: run_cell(*cell), cells))
-    else:
-        entries = [run_cell(*cell) for cell in cells]
-    entries.sort(key=lambda e: (e["reducer"], e["extractor"], e["classifier"]))
-
     report = {
         "master_seed": master_seed,
         "manifest": _manifest_metadata(manifest),
@@ -417,7 +407,7 @@ def run_sweep(
             "reducers": [dataclasses.asdict(r) for r in grid.reducers],
             "classifiers": [dataclasses.asdict(c) for c in grid.classifiers],
         },
-        "combinations": entries,
+        "combinations": _grid_entries(manifest, grid, master_seed, settings, jobs),
         "reference_results": {
             "note": REFERENCE_NOTE,
             "accuracy": REFERENCE_ACCURACY,
@@ -426,11 +416,11 @@ def run_sweep(
         },
     }
     if out_dir is not None:
-        write_sweep_outputs(report, out_dir, grid)
+        write_sweep_outputs(report, out_dir)
     return report
 
 
-def write_sweep_outputs(report: dict, out_dir, grid: Optional[SweepGrid] = None) -> None:
+def write_sweep_outputs(report: dict, out_dir) -> None:
     """report.json plus the accuracy/distinguishable CSV mirrors per reducer."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -442,23 +432,20 @@ def write_sweep_outputs(report: dict, out_dir, grid: Optional[SweepGrid] = None)
     extractors = list(dict.fromkeys(e["extractor"] for e in entries))
     classifiers = list(dict.fromkeys(e["classifier"] for e in entries))
 
+    tables = (
+        ("accuracy", "frame_accuracy_pct", format_float),
+        ("distinguishable", "distinguishable_count", str),
+    )
     for reducer in reducers:
-        def accuracy_cell(classifier, extractor, reducer=reducer):
-            entry = by_key.get((reducer, extractor, classifier))
-            if entry is None or entry["status"] != "ok":
-                return None
-            return format_float(entry["frame_accuracy_pct"])
+        for table, field_name, formatter in tables:
+            # write_grid_table calls cell_of before the loop moves on
+            def cell_of(classifier, extractor):
+                entry = by_key.get((reducer, extractor, classifier))
+                if entry is None or entry["status"] != "ok":
+                    return None
+                return formatter(entry[field_name])
 
-        def distinguishable_cell(classifier, extractor, reducer=reducer):
-            entry = by_key.get((reducer, extractor, classifier))
-            if entry is None or entry["status"] != "ok":
-                return None
-            return str(entry["distinguishable_count"])
-
-        write_grid_table(out_dir / f"accuracy_{reducer}.csv", accuracy_cell, classifiers, extractors)
-        write_grid_table(
-            out_dir / f"distinguishable_{reducer}.csv", distinguishable_cell, classifiers, extractors
-        )
+            write_grid_table(out_dir / f"{table}_{reducer}.csv", cell_of, classifiers, extractors)
 
 
 # --- speaker scaling curve ---------------------------------------------------------
@@ -476,8 +463,13 @@ def speaker_scaling_curve(
 
     Returns (speaker_count, accuracy_pct, delta_per_speaker) rows; the delta
     column is the discrete rate of change between consecutive rows.
+    speaker_counts must be distinct integers >= 2.
     """
-    counts = sorted(speaker_counts)
+    counts = list(speaker_counts)
+    valid = all(isinstance(c, numbers.Integral) and c >= 2 for c in counts)
+    if not counts or not valid or len(set(counts)) < len(counts):
+        raise ValueError(f"speaker_counts must be distinct integers >= 2, got {counts}")
+    counts.sort()
     if counts[-1] > len(manifest.speaker_ids):
         raise ValueError("speaker_counts exceed the manifest's speaker count")
     rows: list[tuple[int, float, Optional[float]]] = []

@@ -26,8 +26,9 @@ from .bench import (
     speaker_scaling_curve,
     write_roc_csv,
 )
+from .bench.harness import DEFAULT_MAX_FRAMES_PER_FILE, DEFAULT_RECALL_THRESHOLD, default_grid
 from .bench.reports import format_float, write_scaling_curve
-from .classifiers import CLASSIFIER_NAMES, LabeledDataset, predict, train_by_name
+from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError
 from .features import ExtractorConfig, default_config, extract
 from .preprocessing import fit_silence_model, remove_silence
@@ -66,13 +67,15 @@ def read_feature_csv(path):
     sources, speakers, frames, vectors = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         value_cols = len(header) - 3
         for row in reader:
             sources.append(row[0])
             speakers.append(int(row[1]) if row[1] not in ("", "None") else -1)
             frames.append(int(row[2]))
             vectors.append([float(v) for v in row[3 : 3 + value_cols]])
+    if not sources:
+        raise ValueError(f"{path}: no data rows")
     return sources, np.array(speakers), np.array(frames), np.array(vectors)
 
 
@@ -154,9 +157,9 @@ def cmd_extract(args) -> int:
         jobs = [(in_path, in_path.name, -1)]
     for wav_path, source, speaker in jobs:
         signal = load_wav(wav_path)
-        model = fit_silence_model(signal)
-        trimmed = remove_silence(signal, model).trimmed if not args.no_vad else signal
-        feats = extract(trimmed, config, speaker_label=speaker, source=source)
+        if not args.no_vad:
+            signal = remove_silence(signal, fit_silence_model(signal)).trimmed
+        feats = extract(signal, config, speaker_label=speaker, source=source)
         for frame_idx, vector in enumerate(feats.values):
             rows.append((source, speaker, frame_idx, vector))
     write_feature_csv(args.out_path, rows, config.num_ceps, "c")
@@ -255,16 +258,14 @@ def cmd_predict(args) -> int:
 def _grid_from_json(path) -> tuple[SweepGrid, dict]:
     with open(path) as fh:
         raw = json.load(fh)
+    default = default_grid()
     extractors = tuple(
         default_config(item.pop("kind"), **item) for item in raw.get("extractors", [])
-    ) or tuple(default_config(k) for k in ("mfcc", "lpcc", "plp"))
-    reducers = tuple(ReducerSpec(**item) for item in raw.get("reducers", [])) or (
-        ReducerSpec("sne"),
-        ReducerSpec("pca"),
-    )
+    ) or default.extractors
+    reducers = tuple(ReducerSpec(**item) for item in raw.get("reducers", [])) or default.reducers
     classifiers = tuple(
         ClassifierSpec(name=item.pop("name"), params=item) for item in raw.get("classifiers", [])
-    ) or tuple(ClassifierSpec(n) for n in CLASSIFIER_NAMES)
+    ) or default.classifiers
     extras = {k: raw[k] for k in ("max_frames_per_file", "recall_threshold", "scaling_curve") if k in raw}
     return SweepGrid(extractors=extractors, reducers=reducers, classifiers=classifiers), extras
 
@@ -402,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-frames-per-file", type=int, default=60)
-    p.add_argument("--recall-threshold", type=float, default=0.5)
+    p.add_argument("--max-frames-per-file", type=int, default=DEFAULT_MAX_FRAMES_PER_FILE)
+    p.add_argument("--recall-threshold", type=float, default=DEFAULT_RECALL_THRESHOLD)
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("roc", help="extract one speaker's ROC curve from a report")

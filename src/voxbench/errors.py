@@ -7,6 +7,10 @@ class PipelineError(Exception):
 
 # --- audio input ---
 
+class UnreadableAudio(PipelineError):
+    """Audio file cannot be opened, or ends inside its headers."""
+
+
 class NotWav(PipelineError):
     """File is not a RIFF/WAVE container."""
 

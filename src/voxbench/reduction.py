@@ -278,10 +278,7 @@ def sne_fit(data, config: SneConfig) -> Embedding:
             else:
                 d2 = pairwise_sq_distances(y)
                 q_joint, w = _student_t_q(d2)
-                mask = p_joint > 0
-                cost = float(
-                    (p_joint[mask] * (np.log(p_joint[mask]) - np.log(np.maximum(q_joint[mask], 1e-300)))).sum()
-                )
+                cost = sne_cost(p_joint, q_joint)
                 m = (p_joint - q_joint) * w
                 grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
             if not np.isfinite(cost):

@@ -1,3 +1,4 @@
+import re
 import struct
 import wave
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from voxbench.audio_io import AudioSignal, frame_signal, hamming_window, load_wav, write_wav
-from voxbench.errors import EmptyAudio, NotWav, SignalTooShort, UnsupportedEncoding
+from voxbench.errors import EmptyAudio, NotWav, SignalTooShort, UnreadableAudio, UnsupportedEncoding
 
 
 def write_pcm16(path, pcm, sample_rate=16000, channels=1):
@@ -78,6 +79,24 @@ def test_load_wav_skips_extra_chunks(tmp_path):
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
     sig = load_wav(path)
     assert np.array_equal(sig.samples * 32768, np.arange(-5, 5))
+
+
+def truncated_fmt_wav(directory):
+    path = directory / "truncated.wav"
+    fmt_head = struct.pack("<HH", 1, 1)  # 4 of the 16 bytes the fmt chunk declares
+    path.write_bytes(b"RIFF" + struct.pack("<I", 24) + b"WAVE" + b"fmt " + struct.pack("<I", 16) + fmt_head)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make_path",
+    [lambda d: d / "missing.wav", lambda d: d, truncated_fmt_wav],
+    ids=["missing", "directory", "truncated-fmt"],
+)
+def test_load_wav_unreadable_names_the_file(tmp_path, make_path):
+    path = make_path(tmp_path)
+    with pytest.raises(UnreadableAudio, match=re.escape(str(path))):
+        load_wav(path)
 
 
 def test_write_then_load_roundtrip(tmp_path):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -269,6 +271,41 @@ def test_sweep_records_failures_in_csv(small_corpus, tmp_path):
     assert "failed" in table
 
 
+def test_missing_wav_fails_its_cells_not_the_sweep(small_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus.root, corpus)
+    missing = small_corpus.entries[1].path
+    (corpus / missing).unlink()
+    manifest = load_manifest(corpus / "manifest.csv")
+    out = tmp_path / "out"
+    report = run_sweep(manifest, grid=mini_grid(), master_seed=0, settings=FAST, out_dir=out)
+    for entry in report["combinations"]:
+        assert entry["status"] == "failed"
+        assert entry["failure_reason"].startswith("UnreadableAudio")
+        assert missing in entry["failure_reason"]
+    names = {p.name for p in out.iterdir()}
+    assert names == {"report.json", "accuracy_pca.csv", "distinguishable_pca.csv"}
+
+
+def test_combination_equals_its_sweep_entry(small_corpus):
+    grid = SweepGrid(
+        extractors=(default_config("mfcc"), default_config("plp")),
+        reducers=(ReducerSpec("pca"), ReducerSpec("sne", max_iter=30)),
+        classifiers=(ClassifierSpec("weighted knn", {"k": 3}), ClassifierSpec("complex tree")),
+    )
+    swept = run_sweep(small_corpus, grid=grid, master_seed=7, settings=FAST)["combinations"]
+    by_key = {(e["extractor"], e["reducer"], e["classifier"]): e for e in swept}
+    assert len(by_key) == 8
+    for extractor in grid.extractors:
+        for reducer in grid.reducers:
+            for classifier in grid.classifiers:
+                entry = run_combination(
+                    small_corpus, extractor, reducer, classifier, master_seed=7, settings=FAST
+                )
+                assert entry["status"] == "ok"
+                assert entry == by_key[(extractor.kind, reducer.method, classifier.name)]
+
+
 def test_report_floats_have_six_significant_digits(small_corpus, tmp_path):
     run_sweep(small_corpus, grid=mini_grid(), master_seed=3, settings=FAST, out_dir=tmp_path)
     payload = json.loads((tmp_path / "report.json").read_text())
@@ -297,3 +334,17 @@ def test_scaling_curve_rows_and_deltas(small_corpus):
     (n2, acc2, _), (n3, acc3, delta) = rows
     assert (n2, n3) == (2, 3)
     assert delta == pytest.approx(acc3 - acc2)
+
+
+@pytest.mark.parametrize("counts", [[], [2, 2], [1, 2], [2, 2.5]])
+def test_scaling_curve_rejects_bad_counts_before_reading(small_corpus, tmp_path, counts):
+    unreadable = dataclasses.replace(small_corpus, root=tmp_path / "no-such-corpus")
+    with pytest.raises(ValueError, match="distinct integers >= 2"):
+        speaker_scaling_curve(
+            unreadable,
+            default_config("mfcc"),
+            ReducerSpec("pca"),
+            ClassifierSpec("weighted knn"),
+            speaker_counts=counts,
+            settings=FAST,
+        )

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from voxbench.audio_io import AudioSignal, write_wav
 from voxbench.cli import main
 
 
@@ -48,6 +49,15 @@ def test_extract_single_wav(cli_corpus, tmp_path):
     assert rows[0] == ["source", "speaker", "frame"] + [f"c{i}" for i in range(1, 14)]
     assert len(rows) > 10
     assert rows[1][1] == "-1"  # unlabeled single file
+
+
+def test_extract_no_vad_skips_the_silence_model(tmp_path):
+    # 100 ms: shorter than the leading segment the silence model needs
+    wav = tmp_path / "short.wav"
+    write_wav(wav, AudioSignal(samples=0.1 * np.sin(np.arange(1600) / 5.0), sample_rate=16000))
+    out = tmp_path / "feats.csv"
+    assert main(["extract", "--in", str(wav), "--method", "mfcc", "--no-vad", "--out", str(out)]) == 0
+    assert len(read_csv(out)) > 1
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +104,14 @@ def test_reduce_sne_with_trace(features_csv, tmp_path):
     assert trace_rows[0] == ["iteration", "cost"]
     assert len(trace_rows) == 121
     assert float(trace_rows[-1][1]) < float(trace_rows[1][1])
+
+
+def test_reduce_header_only_csv_names_the_file(tmp_path, capsys):
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("source,speaker,frame,c1,c2\n")
+    assert main(["reduce", "--in", str(header_only), "--method", "pca",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert f"error: {header_only}: no data rows" in capsys.readouterr().err
 
 
 def test_train_and_predict_roundtrip(embedding_csv, tmp_path):
@@ -146,3 +164,17 @@ def test_cli_reports_pipeline_errors(tmp_path):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"not audio at all")
     assert main(["vad", "--in", str(bad), "--out", str(tmp_path / "x.wav")]) == 2
+
+
+def test_bench_rejects_empty_speaker_counts(cli_corpus, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "reducers": [{"method": "pca"}],
+        "classifiers": [{"name": "weighted knn", "k": 3}],
+        "extractors": [{"kind": "mfcc"}],
+        "max_frames_per_file": 20,
+        "scaling_curve": {"speaker_counts": []},
+    }))
+    assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: speaker_counts must be distinct integers >= 2" in capsys.readouterr().err
