@@ -22,7 +22,7 @@ import numpy as np
 from ..audio_io import load_wav
 from ..classifiers import CLASSIFIER_NAMES, LabeledDataset, predict, train_by_name
 from ..errors import PipelineError, UndefinedRoc
-from ..features import ExtractorConfig, default_config, extract
+from ..features import ExtractorConfig, check_frame_cap, default_config, extract
 from ..preprocessing import fit_silence_model, remove_silence
 from ..reduction import DEFAULT_LEARNING_RATE, SneConfig, reduce_for_pipeline
 from .corpus import CorpusManifest, derive_seed
@@ -83,12 +83,29 @@ class HarnessSettings:
     vad_u_threshold: float = 3.0
     vad_min_segment_ms: float = 50.0
 
+    def __post_init__(self):
+        check_frame_cap(self.max_frames_per_file, "max_frames_per_file")
+
 
 @dataclass(frozen=True)
 class SweepGrid:
+    """Extractors x reducers x classifiers; each axis is keyed by kind, method and name."""
+
     extractors: tuple[ExtractorConfig, ...]
     reducers: tuple[ReducerSpec, ...]
     classifiers: tuple[ClassifierSpec, ...]
+
+    def __post_init__(self):
+        # stage outputs and report cells are keyed by these, so a repeat would overwrite
+        axes = (
+            ("extractor kind", [e.kind for e in self.extractors]),
+            ("reducer method", [r.method for r in self.reducers]),
+            ("classifier name", [c.name for c in self.classifiers]),
+        )
+        for label, keys in axes:
+            repeated = sorted({k for k in keys if keys.count(k) > 1})
+            if repeated:
+                raise ValueError(f"grid repeats {label} {', '.join(repeated)}; each may appear once")
 
 
 def default_grid() -> SweepGrid:
@@ -109,18 +126,12 @@ class FrameTable:
     class_count: int
 
 
-def _subsample_rows(count: int, cap: Optional[int]) -> np.ndarray:
-    if cap is None or count <= cap:
-        return np.arange(count)
-    return np.round(np.linspace(0, count - 1, cap)).astype(int)
-
-
 def corpus_frames(
     manifest: CorpusManifest,
     config: ExtractorConfig,
     settings: HarnessSettings = HarnessSettings(),
 ) -> FrameTable:
-    """Silence-trim and extract every recording into one frame table."""
+    """Silence-trim every recording and extract its kept frames into one frame table."""
     speaker_to_class = {sid: i for i, sid in enumerate(manifest.speaker_ids)}
     blocks, speakers, recordings = [], [], []
     sample_rate = manifest.sample_rate
@@ -139,11 +150,12 @@ def corpus_frames(
             trimmed = remove_silence(
                 signal, model, min_segment_ms=settings.vad_min_segment_ms
             ).trimmed
-        values = extract(trimmed, config, source=entry.path).values
-        keep = _subsample_rows(values.shape[0], settings.max_frames_per_file)
-        blocks.append(values[keep])
-        speakers.append(np.full(keep.size, speaker_to_class[entry.speaker]))
-        recordings.append(np.full(keep.size, rec_idx))
+        values = extract(
+            trimmed, config, source=entry.path, max_frames=settings.max_frames_per_file
+        ).values
+        blocks.append(values)
+        speakers.append(np.full(values.shape[0], speaker_to_class[entry.speaker]))
+        recordings.append(np.full(values.shape[0], rec_idx))
     return FrameTable(
         features=np.vstack(blocks),
         speakers=np.concatenate(speakers),
@@ -450,6 +462,18 @@ def write_sweep_outputs(report: dict, out_dir) -> None:
 
 # --- speaker scaling curve ---------------------------------------------------------
 
+def check_speaker_counts(speaker_counts, speaker_total: int) -> list[int]:
+    """The counts sorted; ValueError unless distinct integers in [2, speaker_total]."""
+    counts = list(speaker_counts)
+    valid = all(isinstance(c, numbers.Integral) and c >= 2 for c in counts)
+    if not counts or not valid or len(set(counts)) < len(counts):
+        raise ValueError(f"speaker_counts must be distinct integers >= 2, got {counts}")
+    counts.sort()
+    if counts[-1] > speaker_total:
+        raise ValueError("speaker_counts exceed the manifest's speaker count")
+    return counts
+
+
 def speaker_scaling_curve(
     manifest: CorpusManifest,
     extractor: ExtractorConfig,
@@ -465,13 +489,7 @@ def speaker_scaling_curve(
     column is the discrete rate of change between consecutive rows.
     speaker_counts must be distinct integers >= 2.
     """
-    counts = list(speaker_counts)
-    valid = all(isinstance(c, numbers.Integral) and c >= 2 for c in counts)
-    if not counts or not valid or len(set(counts)) < len(counts):
-        raise ValueError(f"speaker_counts must be distinct integers >= 2, got {counts}")
-    counts.sort()
-    if counts[-1] > len(manifest.speaker_ids):
-        raise ValueError("speaker_counts exceed the manifest's speaker count")
+    counts = check_speaker_counts(speaker_counts, len(manifest.speaker_ids))
     rows: list[tuple[int, float, Optional[float]]] = []
     for count in counts:
         entry = run_combination(
@@ -499,6 +517,7 @@ __all__ = [
     "HarnessSettings",
     "ReducerSpec",
     "SweepGrid",
+    "check_speaker_counts",
     "confusion_matrix",
     "corpus_frames",
     "default_grid",

@@ -26,7 +26,12 @@ from .bench import (
     speaker_scaling_curve,
     write_roc_csv,
 )
-from .bench.harness import DEFAULT_MAX_FRAMES_PER_FILE, DEFAULT_RECALL_THRESHOLD, default_grid
+from .bench.harness import (
+    DEFAULT_MAX_FRAMES_PER_FILE,
+    DEFAULT_RECALL_THRESHOLD,
+    check_speaker_counts,
+    default_grid,
+)
 from .bench.reports import format_float, write_scaling_curve
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError
@@ -70,6 +75,12 @@ def read_feature_csv(path):
         header = next(reader, [])
         value_cols = len(header) - 3
         for row in reader:
+            if not row:
+                continue
+            if len(row) < 3 + value_cols:
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} fields, expected {3 + value_cols}"
+                )
             sources.append(row[0])
             speakers.append(int(row[1]) if row[1] not in ("", "None") else -1)
             frames.append(int(row[2]))
@@ -280,6 +291,17 @@ def cmd_bench(args) -> int:
         max_frames_per_file=extras.get("max_frames_per_file", args.max_frames_per_file),
         recall_threshold=extras.get("recall_threshold", args.recall_threshold),
     )
+    # the scaling-curve spec is checked before the sweep, so a bad one costs no work
+    curve_spec = extras.get("scaling_curve")
+    if curve_spec:
+        curve_combo = (
+            default_config(curve_spec.get("extractor", "mfcc")),
+            ReducerSpec(curve_spec.get("reducer", "sne")),
+            ClassifierSpec(curve_spec.get("classifier", "weighted knn")),
+        )
+        speaker_counts = check_speaker_counts(
+            curve_spec.get("speaker_counts", [2, 3, 4, 5, 6, 7]), len(manifest.speaker_ids)
+        )
     report = run_sweep(
         manifest,
         grid=grid,
@@ -291,14 +313,11 @@ def cmd_bench(args) -> int:
     ok = sum(1 for e in report["combinations"] if e["status"] == "ok")
     print(f"{ok}/{len(report['combinations'])} combinations succeeded; report under {args.out_dir}")
 
-    curve_spec = extras.get("scaling_curve")
     if curve_spec:
         rows = speaker_scaling_curve(
             manifest,
-            default_config(curve_spec.get("extractor", "mfcc")),
-            ReducerSpec(curve_spec.get("reducer", "sne")),
-            ClassifierSpec(curve_spec.get("classifier", "weighted knn")),
-            speaker_counts=curve_spec.get("speaker_counts", [2, 3, 4, 5, 6, 7]),
+            *curve_combo,
+            speaker_counts=speaker_counts,
             master_seed=args.seed,
             settings=settings,
         )

@@ -6,6 +6,7 @@ FeatureMatrix of one cepstral vector per frame.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -140,20 +141,52 @@ def mel_filterbank(config: ExtractorConfig, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def windowed_frames(signal: AudioSignal, config: ExtractorConfig) -> np.ndarray:
-    """Frame a signal and apply the Hamming taper to each row."""
+def check_frame_cap(cap, field: str = "max_frames") -> None:
+    """Raise ValueError naming field unless cap is None or an integer >= 1."""
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1):
+        raise ValueError(f"{field} must be None or an integer >= 1, got {cap!r}")
+
+
+def _subsample_rows(count: int, cap: Optional[int]) -> np.ndarray:
+    """Indices of at most cap evenly spaced rows out of count; None keeps all."""
+    check_frame_cap(cap)
+    if cap is None or count <= cap:
+        return np.arange(count)
+    return np.round(np.linspace(0, count - 1, cap)).astype(int)
+
+
+def windowed_frames(
+    signal: AudioSignal, config: ExtractorConfig, max_frames: Optional[int] = None
+) -> np.ndarray:
+    """Frame a signal, keep max_frames evenly spaced rows, then apply the Hamming taper.
+
+    Every later step is per frame, so selecting rows here gives the same
+    values as extracting every frame and selecting afterwards.
+    """
     fm = frame_signal(signal, config.frame_ms, config.hop_ms)
     if config.fft_size < fm.frame_length_samples:
         raise ValueError("fft_size must be >= the frame length in samples")
-    return fm.frames * hamming_window(fm.frame_length_samples)
+    frames = fm.frames[_subsample_rows(fm.frames.shape[0], max_frames)]
+    return frames * hamming_window(fm.frame_length_samples)
 
 
-def mel_energies(signal: AudioSignal, config: ExtractorConfig) -> np.ndarray:
+def _project(spectra: np.ndarray, bank: np.ndarray) -> np.ndarray:
+    """Per-frame filterbank sums, spectra (frames x bins) against bank (bands x bins).
+
+    Plain einsum gives each row the same value whatever the batch size; a BLAS
+    matmul may not, and frame selection must not change the kept rows.
+    """
+    return np.einsum("fk,bk->fb", spectra, bank)
+
+
+def mel_energies(
+    signal: AudioSignal, config: ExtractorConfig, max_frames: Optional[int] = None
+) -> np.ndarray:
     """Per-frame mel filterbank energies of the pre-emphasized signal."""
     emphasized = pre_emphasize(signal, config.pre_emphasis_a)
-    frames = windowed_frames(emphasized, config)
+    frames = windowed_frames(emphasized, config, max_frames=max_frames)
     magnitude = np.abs(np.fft.rfft(frames, config.fft_size, axis=1))
-    return magnitude @ mel_filterbank(config, signal.sample_rate).T
+    return _project(magnitude, mel_filterbank(config, signal.sample_rate))
 
 
 def mfcc(
@@ -161,11 +194,13 @@ def mfcc(
     config: ExtractorConfig,
     speaker_label: Optional[int] = None,
     source: Optional[str] = None,
+    max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
-    """Mel-frequency cepstral coefficients, one row per frame."""
+    """Mel-frequency cepstral coefficients, one row per kept frame."""
     if config.kind != "mfcc":
         raise ValueError("config.kind must be 'mfcc'")
-    log_energies = np.log(np.maximum(mel_energies(signal, config), LOG_FLOOR))
+    energies = mel_energies(signal, config, max_frames=max_frames)
+    log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     if config.dct_kind == "dct2":
         ceps = dct(log_energies, type=2, norm="ortho", axis=1)
     else:
@@ -253,12 +288,13 @@ def lpcc(
     config: ExtractorConfig,
     speaker_label: Optional[int] = None,
     source: Optional[str] = None,
+    max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
-    """Linear-prediction cepstral coefficients, one row per frame."""
+    """Linear-prediction cepstral coefficients, one row per kept frame."""
     if config.kind != "lpcc":
         raise ValueError("config.kind must be 'lpcc'")
     emphasized = pre_emphasize(signal, config.pre_emphasis_a)
-    frames = windowed_frames(emphasized, config)
+    frames = windowed_frames(emphasized, config, max_frames=max_frames)
     coeffs, errors, unstable = lpc_analysis(frames, config.lpc_order_q)
     values = np.zeros((frames.shape[0], config.num_ceps))
     for i in range(frames.shape[0]):
@@ -294,7 +330,7 @@ def bark_band_centers(band_count: int, sample_rate: int) -> np.ndarray:
 
 
 def bark_band_loudness(
-    signal: AudioSignal, config: ExtractorConfig
+    signal: AudioSignal, config: ExtractorConfig, max_frames: Optional[int] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame critical-band loudness and the band centers (rad/s).
 
@@ -302,7 +338,7 @@ def bark_band_loudness(
     weighted by the equal-loudness curve at each band center, then
     compressed by the cube root (intensity to loudness).
     """
-    frames = windowed_frames(signal, config)
+    frames = windowed_frames(signal, config, max_frames=max_frames)
     power = np.abs(np.fft.rfft(frames, config.fft_size, axis=1)) ** 2
 
     bin_bark = bark_scale(2.0 * np.pi * np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate))
@@ -316,7 +352,7 @@ def bark_band_loudness(
     if not (windows > 0).any(axis=1).all():
         raise FilterbankTooDense("band spacing is finer than the FFT resolution")
 
-    loudness = np.cbrt((power @ windows.T) * equal_loudness(centers))
+    loudness = np.cbrt(_project(power, windows) * equal_loudness(centers))
     return loudness, centers
 
 
@@ -325,8 +361,9 @@ def plp(
     config: ExtractorConfig,
     speaker_label: Optional[int] = None,
     source: Optional[str] = None,
+    max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
-    """Perceptual linear prediction cepstra, one row per frame.
+    """Perceptual linear prediction cepstra, one row per kept frame.
 
     The band loudness values are treated as samples of a symmetric spectrum;
     its inverse DFT yields autocorrelation lags for the all-pole fit.
@@ -335,7 +372,7 @@ def plp(
         raise ValueError("config.kind must be 'plp'")
     if 2 * (config.filter_count + 1) < config.lpc_order_q + 1:
         raise ValueError("filter_count too small for the requested LPC order")
-    loudness, _ = bark_band_loudness(signal, config)
+    loudness, _ = bark_band_loudness(signal, config, max_frames=max_frames)
 
     padded = np.concatenate([loudness[:, :1], loudness, loudness[:, -1:]], axis=1)
     symmetric = np.concatenate([padded, padded[:, -2:0:-1]], axis=1)
@@ -368,7 +405,12 @@ def extract(
     config: ExtractorConfig,
     speaker_label: Optional[int] = None,
     source: Optional[str] = None,
+    max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
-    """Dispatch to the extractor selected by config.kind."""
+    """Dispatch to the extractor selected by config.kind.
+
+    max_frames keeps that many evenly spaced frames (None keeps all) and is
+    applied before any spectral or LPC work.
+    """
     fn = {"mfcc": mfcc, "lpcc": lpcc, "plp": plp}[config.kind]
-    return fn(signal, config, speaker_label=speaker_label, source=source)
+    return fn(signal, config, speaker_label=speaker_label, source=source, max_frames=max_frames)

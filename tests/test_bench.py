@@ -217,6 +217,26 @@ def test_default_grid_shape():
     assert [e.kind for e in grid.extractors] == ["mfcc", "lpcc", "plp"]
 
 
+@pytest.mark.parametrize("cap", [0, -3, 1.5])
+def test_settings_reject_bad_frame_cap(cap):
+    with pytest.raises(ValueError, match="max_frames_per_file must be None or an integer >= 1"):
+        HarnessSettings(max_frames_per_file=cap)
+
+
+@pytest.mark.parametrize(
+    "axis, items, repeated",
+    [
+        ("extractors", (default_config("mfcc"), default_config("mfcc", num_ceps=12)), "extractor kind mfcc"),
+        ("reducers", (ReducerSpec("sne", perplexity=5.0), ReducerSpec("sne", perplexity=9.0)), "reducer method sne"),
+        ("classifiers", (ClassifierSpec("weighted knn"), ClassifierSpec("weighted knn", {"k": 3})),
+         "classifier name weighted knn"),
+    ],
+)
+def test_grid_rejects_repeated_cell_keys(axis, items, repeated):
+    with pytest.raises(ValueError, match=f"grid repeats {repeated}"):
+        dataclasses.replace(mini_grid(), **{axis: items})
+
+
 def mini_grid():
     return SweepGrid(
         extractors=(default_config("mfcc"),),

@@ -114,6 +114,24 @@ def test_reduce_header_only_csv_names_the_file(tmp_path, capsys):
     assert f"error: {header_only}: no data rows" in capsys.readouterr().err
 
 
+def test_reduce_skips_blank_rows(features_csv, tmp_path):
+    trailing_blank = tmp_path / "trailing_blank.csv"
+    trailing_blank.write_text(features_csv.read_text() + "\n")
+    out = tmp_path / "emb.csv"
+    assert main(["reduce", "--in", str(trailing_blank), "--method", "pca", "--out", str(out)]) == 0
+    assert len(read_csv(out)) == len(read_csv(features_csv))
+
+
+def test_reduce_short_row_names_the_file_and_line(tmp_path, capsys):
+    truncated = tmp_path / "truncated.csv"
+    truncated.write_text("source,speaker,frame,c1,c2\na.wav,0,0,0.5,0.25\na.wav,0,1\n")
+    assert main(["reduce", "--in", str(truncated), "--method", "pca",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {truncated}: line 3 has 3 fields, expected 5" in err
+    assert "Traceback" not in err
+
+
 def test_train_and_predict_roundtrip(embedding_csv, tmp_path):
     model_file = tmp_path / "model.pkl"
     assert main(["train", "--in", str(embedding_csv), "--model", "knn",
@@ -178,3 +196,45 @@ def test_bench_rejects_empty_speaker_counts(cli_corpus, tmp_path, capsys):
     assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid),
                  "--out", str(tmp_path / "out")]) == 2
     assert "error: speaker_counts must be distinct integers >= 2" in capsys.readouterr().err
+
+
+def _no_wav_reads(monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"read {path} before the settings were checked")
+
+    monkeypatch.setattr("voxbench.bench.harness.load_wav", refuse)
+
+
+@pytest.mark.parametrize("counts", [[], [2, 9]])
+def test_bench_checks_speaker_counts_before_the_sweep(cli_corpus, tmp_path, monkeypatch, counts):
+    _no_wav_reads(monkeypatch)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"scaling_curve": {"speaker_counts": counts}}))
+    out = tmp_path / "out"
+    assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid),
+                 "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("cap", [0, -3, 1.5])
+def test_bench_rejects_bad_frame_cap_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, cap):
+    _no_wav_reads(monkeypatch)
+    argv = ["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--out", str(tmp_path / "out")]
+    if isinstance(cap, int):
+        argv += ["--max-frames-per-file", str(cap)]
+    else:  # the flag parses as int, so a fractional cap can only come from a grid file
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"max_frames_per_file": cap}))
+        argv += ["--grid", str(grid)]
+    assert main(argv) == 2
+    assert "error: max_frames_per_file must be None or an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"extractors": [{"kind": "mfcc"}, {"kind": "mfcc", "num_ceps": 12}]}))
+    assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "error: grid repeats extractor kind mfcc" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

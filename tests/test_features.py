@@ -5,11 +5,13 @@ from hypothesis import given, strategies as st
 from voxbench.audio_io import AudioSignal, frame_signal
 from voxbench.errors import FilterbankTooDense
 from voxbench.features import (
+    EXTRACTOR_KINDS,
     ExtractorConfig,
     bark_band_centers,
     bark_band_loudness,
     bark_scale,
     default_config,
+    extract,
     mel_energies,
     mel_filter_edges,
     mel_filterbank,
@@ -179,3 +181,32 @@ def test_config_validation():
         ExtractorConfig(kind="mfcc", fft_size=500)
     with pytest.raises(ValueError):
         ExtractorConfig(kind="spectrogram")
+
+
+# --- frame cap ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def voiced():
+    rng = np.random.default_rng(5)
+    t = np.arange(SR) / SR
+    x = 0.4 * np.sin(2 * np.pi * 220 * t) + 0.2 * np.sin(2 * np.pi * 1330 * t)
+    return AudioSignal(samples=x + 0.05 * rng.standard_normal(t.size), sample_rate=SR)
+
+
+@pytest.mark.parametrize("kind", EXTRACTOR_KINDS)
+def test_frame_cap_equals_selecting_rows_of_full_extraction(voiced, kind):
+    config = default_config(kind)
+    full = extract(voiced, config).values
+    n = full.shape[0]
+    for cap in (1, 7, n - 1, n, n + 5, None):
+        kept = extract(voiced, config, max_frames=cap).values
+        k = n if cap is None else min(cap, n)
+        rows = np.round(np.linspace(0, n - 1, k)).astype(int)
+        assert kept.shape[0] == k
+        np.testing.assert_array_equal(kept, full[rows])
+
+
+@pytest.mark.parametrize("cap", [0, -3, 1.5])
+def test_frame_cap_rejects_non_positive_or_fractional(voiced, cap):
+    with pytest.raises(ValueError, match="max_frames must be None or an integer >= 1"):
+        extract(voiced, default_config("mfcc"), max_frames=cap)
