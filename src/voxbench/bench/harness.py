@@ -20,9 +20,9 @@ from typing import Optional
 import numpy as np
 
 from ..audio_io import load_wav
-from ..classifiers import CLASSIFIER_NAMES, LabeledDataset, predict, train_by_name
+from ..classifiers import CLASSIFIER_NAMES, LabeledDataset, check_classifier, predict, train_by_name
 from ..errors import PipelineError, UndefinedRoc
-from ..features import ExtractorConfig, check_frame_cap, default_config, extract
+from ..features import EXTRACTOR_KINDS, ExtractorConfig, check_frame_cap, default_config, extract
 from ..preprocessing import fit_silence_model, remove_silence
 from ..reduction import DEFAULT_LEARNING_RATE, SneConfig, reduce_for_pipeline
 from .corpus import CorpusManifest, derive_seed
@@ -36,7 +36,6 @@ from .reports import (
     write_report_json,
 )
 
-EXTRACTOR_NAMES = ("mfcc", "lpcc", "plp")
 REDUCER_NAMES = ("sne", "pca")
 DEFAULT_MAX_FRAMES_PER_FILE = 60
 DEFAULT_RECALL_THRESHOLD = 0.5
@@ -70,8 +69,13 @@ class ReducerSpec:
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """Classifier name plus keyword overrides of its preset."""
+
     name: str
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_classifier(self.name, self.params)
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class SweepGrid:
 
 def default_grid() -> SweepGrid:
     return SweepGrid(
-        extractors=tuple(default_config(kind) for kind in EXTRACTOR_NAMES),
+        extractors=tuple(default_config(kind) for kind in EXTRACTOR_KINDS),
         reducers=tuple(ReducerSpec(method=m) for m in REDUCER_NAMES),
         classifiers=tuple(ClassifierSpec(name=n) for n in CLASSIFIER_NAMES),
     )

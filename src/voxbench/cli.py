@@ -29,15 +29,16 @@ from .bench import (
 from .bench.harness import (
     DEFAULT_MAX_FRAMES_PER_FILE,
     DEFAULT_RECALL_THRESHOLD,
+    REDUCER_NAMES,
     check_speaker_counts,
     default_grid,
 )
 from .bench.reports import format_float, write_scaling_curve
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError
-from .features import ExtractorConfig, default_config, extract
+from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config, extract
 from .preprocessing import fit_silence_model, remove_silence
-from .reduction import SneConfig, pca_fit, pca_transform, sne_fit
+from .reduction import SNE_KERNELS, SneConfig, pca_fit, pca_transform, sne_fit
 
 MODEL_FORMAT = "voxbench-model"
 MODEL_FORMAT_VERSION = 1
@@ -266,19 +267,39 @@ def cmd_predict(args) -> int:
     return 0
 
 
+def _grid_specs(raw: dict, axis: str, key: str, build) -> tuple:
+    """build(item[key], other fields) for each entry of raw[axis]; ValueError if malformed."""
+    items = raw.get(axis, [])
+    if not isinstance(items, list):
+        raise ValueError(f"grid {axis!r} must be a list of objects")
+    specs = []
+    for item in items:
+        if not isinstance(item, dict) or key not in item:
+            raise ValueError(f"grid {axis!r} entry {item!r} must be an object with a {key!r} key")
+        try:
+            specs.append(build(item[key], {k: v for k, v in item.items() if k != key}))
+        except TypeError as exc:  # unknown or mistyped fields
+            raise ValueError(f"grid {axis!r} entry {item!r}: {exc}") from None
+    return tuple(specs)
+
+
 def _grid_from_json(path) -> tuple[SweepGrid, dict]:
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: a grid file must hold one JSON object")
+    if not isinstance(raw.get("scaling_curve") or {}, dict):
+        raise ValueError("grid 'scaling_curve' must be an object")
     default = default_grid()
-    extractors = tuple(
-        default_config(item.pop("kind"), **item) for item in raw.get("extractors", [])
-    ) or default.extractors
-    reducers = tuple(ReducerSpec(**item) for item in raw.get("reducers", [])) or default.reducers
-    classifiers = tuple(
-        ClassifierSpec(name=item.pop("name"), params=item) for item in raw.get("classifiers", [])
-    ) or default.classifiers
+    grid = SweepGrid(
+        extractors=_grid_specs(raw, "extractors", "kind", lambda kind, rest: default_config(kind, **rest))
+        or default.extractors,
+        reducers=_grid_specs(raw, "reducers", "method", lambda method, rest: ReducerSpec(method, **rest))
+        or default.reducers,
+        classifiers=_grid_specs(raw, "classifiers", "name", ClassifierSpec) or default.classifiers,
+    )
     extras = {k: raw[k] for k in ("max_frames_per_file", "recall_threshold", "scaling_curve") if k in raw}
-    return SweepGrid(extractors=extractors, reducers=reducers, classifiers=classifiers), extras
+    return grid, extras
 
 
 def cmd_bench(args) -> int:
@@ -376,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract features from a wav or manifest")
     p.add_argument("--in", dest="in_path", required=True, help="wav file or manifest csv")
-    p.add_argument("--method", choices=("mfcc", "lpcc", "plp"), required=True)
+    p.add_argument("--method", choices=EXTRACTOR_KINDS, required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--no-vad", action="store_true", help="skip silence removal")
     p.add_argument("--pre-emphasis", type=float)
@@ -392,11 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce a feature csv to a low-dimensional embedding")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--method", choices=("pca", "sne"), required=True)
+    p.add_argument("--method", choices=REDUCER_NAMES, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--perplexity", type=float)
     p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--kernel", choices=("gaussian", "student-t"), default="gaussian")
+    p.add_argument("--kernel", choices=SNE_KERNELS, default="gaussian")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--trace", help="write the per-iteration cost trace csv")

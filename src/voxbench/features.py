@@ -241,46 +241,58 @@ def levinson_durbin(autocorr) -> tuple[np.ndarray, float]:
     return a, err
 
 
-def lpc_to_cepstrum(lpc, gain: float, num_ceps: int) -> np.ndarray:
-    """Cepstral coefficients c1..c_num_ceps of an all-pole model.
+def _dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row dot products added left to right, so no row depends on the batch size."""
+    total = np.zeros(x.shape[0])
+    for j in range(x.shape[1]):
+        total += x[:, j] * y[:, j]
+    return total
+
+
+def levinson_durbin_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """levinson_durbin on every row of r (rows x autocorrelation lags 0..Q) at once.
+
+    Rows that are silent (lag 0 <= LOG_FLOOR) or reach |k| >= 1 at any order
+    yield zero coefficients and zero error; their count is returned as well.
+    """
+    a = np.zeros((r.shape[0], r.shape[1] - 1))
+    dead = r[:, 0] <= LOG_FLOOR
+    err = np.where(dead, 1.0, r[:, 0])  # a dead row divides by 1 and keeps k = 0
+    for i in range(1, r.shape[1]):
+        k = (r[:, i] - _dot_rows(a[:, : i - 1], r[:, i - 1 : 0 : -1])) / err
+        dead |= np.abs(k) >= 1.0
+        k[dead] = 0.0
+        a[:, : i - 1] -= k[:, None] * a[:, : i - 1][:, ::-1]
+        a[:, i - 1] = k
+        err *= 1.0 - k * k
+    a[dead] = 0.0
+    err[dead] = 0.0
+    return a, err, int(dead.sum())
+
+
+def lpc_to_cepstrum(lpc, gain, num_ceps: int) -> np.ndarray:
+    """Cepstral coefficients c1..c_num_ceps of one all-pole model, or one per row.
 
     Uses the recursion c_n = a_n + (1/n) * sum_{k=1..n-1} k*c_k*a_{n-k},
-    with a_n = 0 beyond the model order.
+    with a_n = 0 beyond the model order. The gain only sets c0, which is not returned.
     """
-    a = np.asarray(lpc, dtype=np.float64)
-    q = a.size
-    c = np.zeros(num_ceps + 1)
-    c[0] = np.log(max(gain, LOG_FLOOR))
-    for n in range(1, num_ceps + 1):
-        direct = a[n - 1] if n <= q else 0.0
+    a = np.atleast_2d(np.asarray(lpc, dtype=np.float64))
+    q = a.shape[1]
+    c = np.zeros((a.shape[0], num_ceps + 1))
+    c[:, 1 : q + 1] = a[:, :num_ceps]
+    for n in range(2, num_ceps + 1):
         ks = np.arange(max(1, n - q), n)
-        c[n] = direct + np.dot(ks * c[ks], a[n - ks - 1]) / n
-    return c[1:]
+        c[:, n] += _dot_rows(ks * c[:, ks], a[:, n - ks - 1]) / n
+    return c[0, 1:] if np.ndim(lpc) == 1 else c[:, 1:]
 
 
 def lpc_analysis(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-frame LPC via biased autocorrelation plus Levinson-Durbin.
-
-    Frames that are silent or numerically unstable yield zero coefficient
-    rows; their count is returned for diagnostics.
-    """
-    n_frames, frame_len = frames.shape
+    """Per-frame LPC: biased autocorrelation, then levinson_durbin_rows."""
+    frame_len = frames.shape[1]
     nfft = 1 << int(np.ceil(np.log2(2 * frame_len - 1)))
     spectra = np.abs(np.fft.rfft(frames, nfft, axis=1)) ** 2
     autocorr = np.fft.irfft(spectra, nfft, axis=1)[:, : order + 1] / frame_len
-
-    coeffs = np.zeros((n_frames, order))
-    errors = np.zeros(n_frames)
-    unstable = 0
-    for i in range(n_frames):
-        if autocorr[i, 0] <= LOG_FLOOR:
-            unstable += 1
-            continue
-        try:
-            coeffs[i], errors[i] = levinson_durbin(autocorr[i])
-        except UnstableRecursion:
-            unstable += 1
-    return coeffs, errors, unstable
+    return levinson_durbin_rows(autocorr)
 
 
 def lpcc(
@@ -296,12 +308,8 @@ def lpcc(
     emphasized = pre_emphasize(signal, config.pre_emphasis_a)
     frames = windowed_frames(emphasized, config, max_frames=max_frames)
     coeffs, errors, unstable = lpc_analysis(frames, config.lpc_order_q)
-    values = np.zeros((frames.shape[0], config.num_ceps))
-    for i in range(frames.shape[0]):
-        if errors[i] > 0:
-            values[i] = lpc_to_cepstrum(coeffs[i], errors[i], config.num_ceps)
     return FeatureMatrix(
-        values=values,
+        values=lpc_to_cepstrum(coeffs, errors, config.num_ceps),
         config=config,
         speaker_label=speaker_label,
         source=source,
@@ -378,21 +386,9 @@ def plp(
     symmetric = np.concatenate([padded, padded[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(symmetric, axis=1).real[:, : config.lpc_order_q + 1]
 
-    n_frames = loudness.shape[0]
-    values = np.zeros((n_frames, config.num_ceps))
-    unstable = 0
-    for i in range(n_frames):
-        if autocorr[i, 0] <= LOG_FLOOR:
-            unstable += 1
-            continue
-        try:
-            coeffs, err = levinson_durbin(autocorr[i])
-        except UnstableRecursion:
-            unstable += 1
-            continue
-        values[i] = lpc_to_cepstrum(coeffs, err, config.num_ceps)
+    coeffs, errors, unstable = levinson_durbin_rows(autocorr)
     return FeatureMatrix(
-        values=values,
+        values=lpc_to_cepstrum(coeffs, errors, config.num_ceps),
         config=config,
         speaker_label=speaker_label,
         source=source,

@@ -28,6 +28,7 @@ MAX_BANDWIDTH_STEPS = 100
 DEFAULT_LEARNING_RATE = 0.2
 DEFAULT_MAX_ITER = 500
 INIT_STD = 1e-2
+SNE_KERNELS = ("gaussian", "student-t")
 MOMENTUM_SWITCH_ITER = 100
 
 
@@ -112,8 +113,8 @@ class SneConfig:
             raise ValueError("target_dim must be positive")
         if not 0 <= self.momentum < 1 or not 0 <= self.late_momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.kernel not in ("gaussian", "student-t"):
-            raise ValueError("kernel must be 'gaussian' or 'student-t'")
+        if self.kernel not in SNE_KERNELS:
+            raise ValueError(f"kernel must be one of {SNE_KERNELS}")
 
 
 @dataclass(frozen=True)

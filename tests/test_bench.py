@@ -237,6 +237,18 @@ def test_grid_rejects_repeated_cell_keys(axis, items, repeated):
         dataclasses.replace(mini_grid(), **{axis: items})
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("svm", {}, "unknown classifier 'svm'"),
+        ("weighted knn", {"bogus": 1}, "classifier 'weighted knn' takes no parameter bogus"),
+    ],
+)
+def test_grid_rejects_unknown_classifier_or_parameter(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(mini_grid(), classifiers=(ClassifierSpec(name, params),))
+
+
 def mini_grid():
     return SweepGrid(
         extractors=(default_config("mfcc"),),

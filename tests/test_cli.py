@@ -238,3 +238,31 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 2
     assert "error: grid repeats extractor kind mfcc" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"extractors": [{"num_ceps": 12}]}, "grid 'extractors' entry {'num_ceps': 12} must be an object with a 'kind' key"),
+        ({"classifiers": [{"k": 3}]}, "grid 'classifiers' entry {'k': 3} must be an object with a 'name' key"),
+        ({"reducers": [{"dim": 2}]}, "grid 'reducers' entry {'dim': 2} must be an object with a 'method' key"),
+        ({"extractors": [{"kind": "mfcc", "bogus": 1}]}, "unexpected keyword argument 'bogus'"),
+        ({"extractors": ["mfcc"]}, "grid 'extractors' entry 'mfcc' must be an object"),
+        ([1, 2], "a grid file must hold one JSON object"),
+        ({"classifiers": [{"name": "weighted knn", "bogus": 1}]}, "classifier 'weighted knn' takes no parameter bogus"),
+        ({"classifiers": [{"name": "svm"}]}, "unknown classifier 'svm'"),
+        ({"extractors": [{"kind": "mfcc", "num_ceps": "12"}]}, "grid 'extractors' entry"),
+        ({"reducers": {"method": "pca"}}, "grid 'reducers' must be a list of objects"),
+        ({"scaling_curve": 5}, "grid 'scaling_curve' must be an object"),
+    ],
+)
+def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
+    _no_wav_reads(monkeypatch)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    out = tmp_path / "out"
+    assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import toeplitz
@@ -8,6 +10,7 @@ from voxbench.errors import UnstableRecursion
 from voxbench.features import (
     default_config,
     levinson_durbin,
+    levinson_durbin_rows,
     lpc_analysis,
     lpc_to_cepstrum,
     lpcc,
@@ -54,6 +57,38 @@ def test_levinson_rejects_unstable():
     # lag-1 correlation above lag 0 forces |k| >= 1
     with pytest.raises(UnstableRecursion):
         levinson_durbin([1.0, 1.1])
+
+
+def test_levinson_rows_match_per_row_oracle():
+    rng = np.random.default_rng(12)
+    order = 10
+    rows = np.array([random_psd_autocorr(rng, order) for _ in range(15)])
+    bad = [3, 7, 8]
+    rows[3] = 0.0  # silent
+    rows[7] = np.r_[1.0, 1.1, np.zeros(order - 1)]  # |k| >= 1 at order 1
+    rows[8] = np.r_[1.0, 0.9, 0.1, np.zeros(order - 2)]  # |k| >= 1 at order 2
+
+    coeffs, errors, unstable = levinson_durbin_rows(rows)
+    assert unstable == len(bad)
+    for i, r in enumerate(rows):
+        if i in bad:
+            np.testing.assert_array_equal(coeffs[i], np.zeros(order))
+            assert errors[i] == 0.0
+            if r[0] > 0:
+                with pytest.raises(UnstableRecursion):
+                    levinson_durbin(r)
+            continue
+        a, err = levinson_durbin(r)
+        np.testing.assert_allclose(coeffs[i], a, rtol=1e-12, atol=1e-14)
+        assert errors[i] == pytest.approx(err, rel=1e-12)
+
+    ceps = lpc_to_cepstrum(coeffs, errors, 13)
+    for i in range(len(rows)):
+        alone_coeffs, alone_errors, alone_unstable = levinson_durbin_rows(rows[i : i + 1])
+        np.testing.assert_array_equal(alone_coeffs[0], coeffs[i])
+        np.testing.assert_array_equal(alone_errors[0], errors[i])
+        assert alone_unstable == (i in bad)
+        np.testing.assert_array_equal(lpc_to_cepstrum(coeffs[i], errors[i], 13), ceps[i])
 
 
 def test_cepstrum_hand_values():
@@ -148,3 +183,20 @@ def test_plp_loudness_scales_by_cuberoot_of_power():
     base, _ = bark_band_loudness(AudioSignal(samples=x, sample_rate=SR), config)
     doubled, _ = bark_band_loudness(AudioSignal(samples=2 * x, sample_rate=SR), config)
     np.testing.assert_allclose(doubled, base * 4 ** (1 / 3), rtol=1e-9)
+
+
+@pytest.mark.parametrize("extractor", [lpcc, plp])
+def test_silent_stretch_gives_counted_zero_rows_without_warnings(extractor):
+    rng = np.random.default_rng(27)
+    _, x = ar2_signal(rng, SR)
+    x[4000:12000] = 0.0
+    sig = AudioSignal(samples=x, sample_rate=SR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        feats = extractor(sig, default_config(extractor.__name__))
+    config = feats.config
+    framed = pre_emphasize(sig, config.pre_emphasis_a) if extractor is lpcc else sig
+    silent = ~frame_signal(framed, config.frame_ms, config.hop_ms).frames.any(axis=1)
+    assert silent.sum() >= 40
+    assert feats.unstable_frames == silent.sum()
+    assert not feats.values[silent].any()
