@@ -21,7 +21,7 @@ import numpy as np
 
 from ..audio_io import load_wav
 from ..classifiers import CLASSIFIER_NAMES, LabeledDataset, check_classifier, predict, train_by_name
-from ..errors import PipelineError, UndefinedRoc
+from ..errors import PipelineError, UndefinedRoc, check_like_default
 from ..features import EXTRACTOR_KINDS, ExtractorConfig, check_frame_cap, default_config, extract
 from ..preprocessing import fit_silence_model, remove_silence
 from ..reduction import DEFAULT_LEARNING_RATE, SneConfig, reduce_for_pipeline
@@ -55,6 +55,8 @@ class ReducerSpec:
     def __post_init__(self):
         if self.method not in REDUCER_NAMES:
             raise ValueError(f"method must be one of {REDUCER_NAMES}")
+        for knob in dataclasses.fields(self)[1:]:
+            check_like_default(f"reducer {self.method!r} {knob.name}", getattr(self, knob.name), knob.default)
 
     def sne_config(self, seed: int) -> SneConfig:
         return SneConfig(
@@ -89,6 +91,9 @@ class HarnessSettings:
 
     def __post_init__(self):
         check_frame_cap(self.max_frames_per_file, "max_frames_per_file")
+        threshold = self.recall_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real) or not 0 <= threshold <= 1:
+            raise ValueError(f"recall_threshold must be a real number in [0, 1], got {threshold!r}")
 
 
 @dataclass(frozen=True)

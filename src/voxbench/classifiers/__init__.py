@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 
+from ..errors import check_like_default
 from .base import LabeledDataset, TrainedClassifier, predict
 from .ffnn import FeedForwardNet, ffnn_train
 from .knn import knn_train
@@ -22,30 +23,28 @@ CLASSIFIER_NAMES = tuple(_TRAINERS)
 
 
 def check_classifier(name: str, params: dict) -> None:
-    """Raise ValueError unless name is a known classifier and params are keywords it takes."""
+    """Raise ValueError unless name is a known classifier and params are its keywords, typed as their defaults."""
     if name not in _TRAINERS:
         raise ValueError(f"unknown classifier {name!r}; expected one of {CLASSIFIER_NAMES}")
     # the data and the stage seed are passed by train_by_name, never by params
-    accepted = [p for p in inspect.signature(_TRAINERS[name]).parameters if p not in ("data", "seed")]
-    unknown = sorted(set(params) - set(accepted))
+    signature = inspect.signature(_TRAINERS[name]).parameters
+    defaults = {key: p.default for key, p in signature.items() if key not in ("data", "seed")}
+    unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(
-            f"classifier {name!r} takes no parameter {', '.join(unknown)}; it takes {', '.join(accepted)}"
+            f"classifier {name!r} takes no parameter {', '.join(unknown)}; it takes {', '.join(defaults)}"
         )
+    for key, value in params.items():
+        check_like_default(f"classifier {name!r} parameter {key}", value, defaults[key])
 
 
 def train_by_name(name: str, data: LabeledDataset, seed: int = 0, **params) -> TrainedClassifier:
-    """Train one of the named presets; params override the preset defaults."""
+    """Train a named classifier; params override its trainer's defaults, seed goes to seeded trainers."""
     check_classifier(name, params)
-    if name == "complex tree":
-        return tree_train(data, **{"max_splits": 100, "min_leaf": 1, **params})
-    if name == "weighted knn":
-        return knn_train(data, **{"k": 10, **params})
-    if name == "fine svm":
-        return svm_train(data, **params)
-    if name == "feed forward":
-        return ffnn_train(data, seed=seed, **params)
-    return bagged_trees_train(data, seed=seed, **{"n_trees": 30, **params})
+    trainer = _TRAINERS[name]
+    if "seed" in inspect.signature(trainer).parameters:
+        params["seed"] = seed
+    return trainer(data, **params)
 
 
 __all__ = [

@@ -11,21 +11,6 @@ import numpy as np
 from .base import LabeledDataset, TrainedClassifier
 
 
-class _TreeNode:
-    __slots__ = ("feature", "threshold", "left", "right", "fractions")
-
-    def __init__(self, fractions):
-        self.feature = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-        self.fractions = fractions
-
-    @property
-    def is_leaf(self):
-        return self.feature is None
-
-
 def _class_fractions(labels: np.ndarray, class_count: int) -> np.ndarray:
     return np.bincount(labels, minlength=class_count) / labels.size
 
@@ -75,47 +60,57 @@ def _best_split(x, y, class_count, min_leaf):
     return best
 
 
-def grow_tree(x, y, class_count, max_splits, min_leaf):
+@dataclass(frozen=True)
+class DecisionTreeModel:
+    """A CART as flat node arrays, node 0 the root; feature -1 marks a leaf.
+
+    A query at inner node i goes to left[i] if its feature[i] value is <=
+    threshold[i], else to right[i]. fractions: training class fractions per node.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    fractions: np.ndarray
+
+    def scores(self, queries: np.ndarray) -> np.ndarray:
+        """Leaf class fractions per query; all queries descend one level per step."""
+        node = np.zeros(queries.shape[0], dtype=np.intp)
+        active = np.arange(queries.shape[0])
+        while active.size:
+            at = node[active]
+            inner = self.feature[at] >= 0
+            active, at = active[inner], at[inner]
+            go_left = queries[active, self.feature[at]] <= self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+        return self.fractions[node]
+
+
+def grow_tree(x, y, class_count, max_splits, min_leaf) -> DecisionTreeModel:
     """Best-first CART growth under a total split budget."""
-    root = _TreeNode(_class_fractions(y, class_count))
+    nodes, fractions = [], []  # nodes[i] = [feature, threshold, left, right]
     order = itertools.count()  # FIFO tie-break keeps growth deterministic
     heap = []
 
-    def push(node, idx):
+    def add_leaf(idx):
+        nodes.append([-1, 0.0, -1, -1])
+        fractions.append(_class_fractions(y[idx], class_count))
         split = _best_split(x[idx], y[idx], class_count, min_leaf)
         if split is not None:
-            heapq.heappush(heap, (-split[0], next(order), node, idx, split[1], split[2]))
+            heapq.heappush(heap, (-split[0], next(order), len(nodes) - 1, idx, split[1], split[2]))
+        return len(nodes) - 1
 
-    push(root, np.arange(y.size))
+    add_leaf(np.arange(y.size))
     splits = 0
     while heap and splits < max_splits:
         _, _, node, idx, feature, threshold = heapq.heappop(heap)
-        node.feature = feature
-        node.threshold = threshold
-        left_idx = idx[x[idx, feature] <= threshold]
-        right_idx = idx[x[idx, feature] > threshold]
-        node.left = _TreeNode(_class_fractions(y[left_idx], class_count))
-        node.right = _TreeNode(_class_fractions(y[right_idx], class_count))
-        push(node.left, left_idx)
-        push(node.right, right_idx)
+        goes_left = x[idx, feature] <= threshold
+        # the left child is created (and queued) before the right one
+        nodes[node] = [feature, threshold, add_leaf(idx[goes_left]), add_leaf(idx[~goes_left])]
         splits += 1
-    return root
-
-
-def _leaf_fractions(root: _TreeNode, point: np.ndarray) -> np.ndarray:
-    node = root
-    while not node.is_leaf:
-        node = node.left if point[node.feature] <= node.threshold else node.right
-    return node.fractions
-
-
-@dataclass(frozen=True)
-class DecisionTreeModel:
-    root: _TreeNode
-    class_count: int
-
-    def scores(self, queries: np.ndarray) -> np.ndarray:
-        return np.vstack([_leaf_fractions(self.root, q) for q in queries])
+    feature, threshold, left, right = (np.array(column) for column in zip(*nodes))
+    return DecisionTreeModel(feature, threshold, left, right, np.vstack(fractions))
 
 
 def tree_train(data: LabeledDataset, max_splits: int = 100, min_leaf: int = 1) -> TrainedClassifier:
@@ -123,10 +118,9 @@ def tree_train(data: LabeledDataset, max_splits: int = 100, min_leaf: int = 1) -
     if min_leaf < 1:
         raise ValueError("min_leaf must be >= 1")
     x, y = data.train_points, data.train_labels
-    root = grow_tree(x, y, data.class_count, max_splits, min_leaf)
     return TrainedClassifier(
         kind="complex tree",
-        payload=DecisionTreeModel(root=root, class_count=data.class_count),
+        payload=grow_tree(x, y, data.class_count, max_splits, min_leaf),
         class_count=data.class_count,
         input_dim=x.shape[1],
     )
@@ -139,9 +133,8 @@ class BaggedTreesModel:
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         votes = np.zeros((queries.shape[0], self.class_count))
-        for root in self.trees:
-            leaf = np.vstack([_leaf_fractions(root, q) for q in queries])
-            votes[np.arange(queries.shape[0]), leaf.argmax(axis=1)] += 1.0
+        for tree in self.trees:
+            votes[np.arange(queries.shape[0]), tree.scores(queries).argmax(axis=1)] += 1.0
         return votes / len(self.trees)
 
 

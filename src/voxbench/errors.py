@@ -1,4 +1,6 @@
-"""Exception types raised across the pipeline."""
+"""Exception types raised across the pipeline, and the type check of user-set parameters."""
+
+import numbers
 
 
 class PipelineError(Exception):
@@ -87,3 +89,35 @@ class NonFiniteLoss(PipelineError):
 
 class UndefinedRoc(PipelineError):
     """ROC needs at least one positive and one negative test frame."""
+
+
+# --- parameter values ---
+
+def check_like_default(label: str, value, default) -> None:
+    """Raise ValueError naming label unless value has the type of default.
+
+    An int default takes an integer, a float default a real number, a bool
+    default a bool, a None default a real number or None, a tuple default a
+    list or tuple of as many integers, and any other default its own type.
+    A bool never counts as a number.
+    """
+
+    def number(v, kind) -> bool:
+        return isinstance(v, kind) and not isinstance(v, bool)
+
+    if isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "a bool"
+    elif number(default, numbers.Integral):
+        ok, expected = number(value, numbers.Integral), "an integer"
+    elif number(default, numbers.Real):
+        ok, expected = number(value, numbers.Real), "a real number"
+    elif default is None:
+        ok, expected = value is None or number(value, numbers.Real), "a real number or null"
+    elif isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and len(value) == len(default)
+        ok = ok and all(number(v, numbers.Integral) for v in value)
+        expected = f"a list of {len(default)} integers"
+    else:
+        ok, expected = isinstance(value, type(default)), f"a {type(default).__name__}"
+    if not ok:
+        raise ValueError(f"{label} must be {expected}, got {value!r}")

@@ -226,6 +226,7 @@ def test_criterion_7_classifier_oracles():
                 f"svm dual feasible; tree separable-1D exact")
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_trend(acceptance_corpus, sweep_runs):
     _, sweep_seconds, _, _ = sweep_runs
     rows = speaker_scaling_curve(
@@ -267,6 +268,7 @@ def test_criterion_9_roc_integrity():
     report_line(9, ok, f"worst AUC gap vs pairwise oracle {worst:.2e}; perfect-score AUC {perfect_auc}")
 
 
+@pytest.mark.slow
 def test_criterion_10_sweep_determinism(sweep_runs):
     report, _, serial_dir, parallel_dir = sweep_runs
     names = sorted(p.name for p in serial_dir.iterdir())

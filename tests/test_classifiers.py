@@ -108,16 +108,40 @@ def test_knn_train_set_self_prediction():
 def test_tree_single_split_on_separable_1d():
     data = dataset([1.0, 2.0, 8.0, 9.0], [0, 0, 1, 1])
     model = tree_train(data, max_splits=10)
-    root = model.payload.root
-    assert root.left.is_leaf and root.right.is_leaf
-    assert 2.0 < root.threshold < 8.0
+    tree = model.payload
+    assert tree.feature[0] == 0 and 2.0 < tree.threshold[0] < 8.0
+    assert (tree.feature[[tree.left[0], tree.right[0]]] == -1).all()
     got, _ = predict(model, data.points)
     np.testing.assert_array_equal(got, data.labels)
 
 
 def test_tree_pure_data_is_single_leaf():
     model = tree_train(dataset([1.0, 2.0, 3.0], [0, 0, 0]))
-    assert model.payload.root.is_leaf
+    assert model.payload.feature.tolist() == [-1]
+
+
+def _walk(tree, point):
+    """Scalar oracle: one query down the node arrays, ties on a threshold go left."""
+    node = 0
+    while tree.feature[node] >= 0:
+        node = tree.left[node] if point[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return tree.fractions[node]
+
+
+def test_tree_scores_match_node_by_node_walk():
+    rng = np.random.default_rng(8)
+    points = rng.normal(0, 1, (200, 2))
+    labels = (points[:, 0] * points[:, 1] > 0).astype(int) + (rng.random(200) < 0.3)
+    data = dataset(points, labels)
+    bag = bagged_trees_train(data, n_trees=5, seed=2).payload
+    for tree in (tree_train(data, max_splits=100).payload, *bag.trees):
+        inner = np.flatnonzero(tree.feature >= 0)
+        assert inner.size > 10
+        on_threshold = rng.normal(0, 1, (inner.size, 2))
+        on_threshold[np.arange(inner.size), tree.feature[inner]] = tree.threshold[inner]
+        queries = np.vstack([rng.normal(0, 1.5, (100, 2)), on_threshold])
+        expected = np.vstack([_walk(tree, q) for q in queries])
+        np.testing.assert_array_equal(tree.scores(queries), expected)
 
 
 def test_tree_solves_xor_with_three_splits():

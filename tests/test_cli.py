@@ -132,6 +132,14 @@ def test_reduce_short_row_names_the_file_and_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_train_rejects_mistyped_parameter(embedding_csv, tmp_path, capsys):
+    assert main(["train", "--in", str(embedding_csv), "--model", "knn",
+                 "--params", "k=abc", "--out", str(tmp_path / "model.pkl")]) == 2
+    err = capsys.readouterr().err
+    assert "error: classifier 'weighted knn' parameter k must be an integer, got 'abc'" in err
+    assert "Traceback" not in err
+
+
 def test_train_and_predict_roundtrip(embedding_csv, tmp_path):
     model_file = tmp_path / "model.pkl"
     assert main(["train", "--in", str(embedding_csv), "--model", "knn",
@@ -254,6 +262,12 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"extractors": [{"kind": "mfcc", "num_ceps": "12"}]}, "grid 'extractors' entry"),
         ({"reducers": {"method": "pca"}}, "grid 'reducers' must be a list of objects"),
         ({"scaling_curve": 5}, "grid 'scaling_curve' must be an object"),
+        ({"classifiers": [{"name": "weighted knn", "k": "3"}]},
+         "classifier 'weighted knn' parameter k must be an integer, got '3'"),
+        ({"reducers": [{"method": "pca", "target_dim": "2"}]}, "reducer 'pca' target_dim must be an integer, got '2'"),
+        ({"reducers": [{"method": "sne", "perplexity": "3"}]},
+         "reducer 'sne' perplexity must be a real number or null, got '3'"),
+        ({"recall_threshold": "x"}, "recall_threshold must be a real number in [0, 1], got 'x'"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
