@@ -57,6 +57,10 @@ class ReducerSpec:
             raise ValueError(f"method must be one of {REDUCER_NAMES}")
         for knob in dataclasses.fields(self)[1:]:
             check_like_default(f"reducer {self.method!r} {knob.name}", getattr(self, knob.name), knob.default)
+        try:
+            self.sne_config(seed=0)  # the range checks of SneConfig
+        except ValueError as exc:
+            raise ValueError(f"reducer {self.method!r}: {exc}") from None
 
     def sne_config(self, seed: int) -> SneConfig:
         return SneConfig(
@@ -134,6 +138,11 @@ class FrameTable:
     recordings: np.ndarray  # index into manifest.entries
     class_count: int
 
+    def first_speakers(self, count: int) -> "FrameTable":
+        """The rows of dense speakers 0..count-1, in table order."""
+        rows = self.speakers < count
+        return FrameTable(self.features[rows], self.speakers[rows], self.recordings[rows], count)
+
 
 def corpus_frames(
     manifest: CorpusManifest,
@@ -159,9 +168,7 @@ def corpus_frames(
             trimmed = remove_silence(
                 signal, model, min_segment_ms=settings.vad_min_segment_ms
             ).trimmed
-        values = extract(
-            trimmed, config, source=entry.path, max_frames=settings.max_frames_per_file
-        ).values
+        values = extract(trimmed, config, max_frames=settings.max_frames_per_file).values
         blocks.append(values)
         speakers.append(np.full(values.shape[0], speaker_to_class[entry.speaker]))
         recordings.append(np.full(values.shape[0], rec_idx))
@@ -228,14 +235,11 @@ def roc_auc(points) -> float:
     return float(_trapezoid(points[:, 1], points[:, 0]))
 
 
-def _evaluate_split(reduced, table, train_mask, classifier: ClassifierSpec, seed, settings, self_test=False):
+def _evaluate_split(reduced, table, train_mask, classifier: ClassifierSpec, seed, settings):
     data = LabeledDataset(points=reduced, labels=table.speakers, train_mask=train_mask)
     model = train_by_name(classifier.name, data, seed=seed, **classifier.params)
-    if self_test:  # validation hook: score the training frames themselves
-        eval_points, true_labels, eval_recordings = data.train_points, data.train_labels, table.recordings[train_mask]
-    else:
-        eval_points, true_labels, eval_recordings = data.test_points, data.test_labels, table.recordings[~train_mask]
-    predicted, scores = predict(model, eval_points)
+    true_labels, test_recordings = data.test_labels, table.recordings[~train_mask]
+    predicted, scores = predict(model, data.test_points)
 
     confusion = confusion_matrix(true_labels, predicted, table.class_count)
     total = int(confusion.sum())
@@ -253,8 +257,8 @@ def _evaluate_split(reduced, table, train_mask, classifier: ClassifierSpec, seed
 
     # recording-level majority vote, reported separately from frame accuracy
     rec_hits = []
-    for rec in np.unique(eval_recordings):
-        rows = eval_recordings == rec
+    for rec in np.unique(test_recordings):
+        rows = test_recordings == rec
         votes = np.bincount(predicted[rows], minlength=table.class_count)
         rec_hits.append(votes.argmax() == true_labels[rows][0])
 
@@ -275,37 +279,41 @@ def _failure(exc: PipelineError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+def _frame_tables(
+    manifest: CorpusManifest, extractors, settings: HarnessSettings
+) -> tuple[dict[str, FrameTable], dict[str, str]]:
+    """One frame table per extractor kind, or the reason its extraction failed."""
+    tables: dict[str, FrameTable] = {}
+    failures: dict[str, str] = {}
+    for extractor in extractors:
+        try:
+            tables[extractor.kind] = corpus_frames(manifest, extractor, settings)
+        except PipelineError as exc:
+            failures[extractor.kind] = _failure(exc)
+    return tables, failures
+
+
 def _grid_entries(
     manifest: CorpusManifest,
     grid: SweepGrid,
+    tables: dict[str, FrameTable],
+    failures: dict[str, str],
     master_seed: int,
     settings: HarnessSettings,
     jobs: int = 1,
-    self_test: bool = False,
 ) -> list[dict]:
     """One report entry per grid cell, sorted by (reducer, extractor, classifier).
 
-    Stage outputs are shared: one frame table and train mask per extractor,
-    one embedding per extractor/reducer pair, then the cells on `jobs`
-    threads. Seeds derive from (master_seed, stage tag), so serial and
-    parallel runs, and a cell run on its own, produce identical entries.
-    self_test trains and evaluates on the same frames (a validation hook).
+    Starts from the frame tables (or extraction failures) of _frame_tables.
+    Stage outputs are shared: one train mask per extractor, one embedding per
+    extractor/reducer pair, then the cells on `jobs` threads. Seeds derive
+    from (master_seed, stage tag), so serial and parallel runs, and a cell run
+    on its own, produce identical entries.
     """
     rotation = derive_seed(master_seed, "split")
-
-    tables: dict[str, FrameTable] = {}
-    masks: dict[str, np.ndarray] = {}
-    stage_errors: dict[tuple[str, str], str] = {}  # (extractor, reducer) -> failure reason
-    for extractor in grid.extractors:
-        try:
-            table = corpus_frames(manifest, extractor, settings)
-            tables[extractor.kind] = table
-            if self_test:
-                masks[extractor.kind] = np.ones(table.speakers.size, dtype=bool)
-            else:
-                masks[extractor.kind] = holdout_train_mask(manifest, table, rotation)
-        except PipelineError as exc:
-            stage_errors.update({(extractor.kind, r.method): _failure(exc) for r in grid.reducers})
+    masks = {kind: holdout_train_mask(manifest, table, rotation) for kind, table in tables.items()}
+    # (extractor, reducer) -> failure reason
+    stage_errors = {(kind, r.method): reason for kind, reason in failures.items() for r in grid.reducers}
 
     reduced: dict[tuple[str, str], np.ndarray] = {}
     for extractor in grid.extractors:
@@ -347,7 +355,6 @@ def _grid_entries(
                         classifier,
                         entry["seed"],
                         settings,
-                        self_test,
                     )
                 )
             except PipelineError as exc:
@@ -370,25 +377,6 @@ def _grid_entries(
         entries = [run_cell(*cell) for cell in cells]
     entries.sort(key=lambda e: (e["reducer"], e["extractor"], e["classifier"]))
     return entries
-
-
-def run_combination(
-    manifest: CorpusManifest,
-    extractor: ExtractorConfig,
-    reducer: ReducerSpec,
-    classifier: ClassifierSpec,
-    master_seed: int = 0,
-    settings: HarnessSettings = HarnessSettings(),
-    self_test: bool = False,
-) -> dict:
-    """Run one pipeline combination end to end and return its report entry.
-
-    The entry equals the matching entry of a run_sweep with the same seed and
-    settings. self_test trains and evaluates on the same frames (a validation
-    hook); normal runs hold one recording per speaker out for the test side.
-    """
-    grid = SweepGrid((extractor,), (reducer,), (classifier,))
-    return _grid_entries(manifest, grid, master_seed, settings, self_test=self_test)[0]
 
 
 # --- full sweep -------------------------------------------------------------------
@@ -419,6 +407,7 @@ def run_sweep(
     produce identical reports.
     """
     grid = grid or default_grid()
+    tables, failures = _frame_tables(manifest, grid.extractors, settings)
     report = {
         "master_seed": master_seed,
         "manifest": _manifest_metadata(manifest),
@@ -428,7 +417,7 @@ def run_sweep(
             "reducers": [dataclasses.asdict(r) for r in grid.reducers],
             "classifiers": [dataclasses.asdict(c) for c in grid.classifiers],
         },
-        "combinations": _grid_entries(manifest, grid, master_seed, settings, jobs),
+        "combinations": _grid_entries(manifest, grid, tables, failures, master_seed, settings, jobs),
         "reference_results": {
             "note": REFERENCE_NOTE,
             "accuracy": REFERENCE_ACCURACY,
@@ -497,18 +486,20 @@ def speaker_scaling_curve(
     Returns (speaker_count, accuracy_pct, delta_per_speaker) rows; the delta
     column is the discrete rate of change between consecutive rows.
     speaker_counts must be distinct integers >= 2.
+
+    Each recording of the largest count is extracted once; a count takes the
+    rows of its first speakers. Features are computed per recording and each
+    speaker's held-out recording depends only on its own entries, so a row
+    equals the one-cell sweep of manifest.subset_speakers(count).
     """
     counts = check_speaker_counts(speaker_counts, len(manifest.speaker_ids))
+    manifest = manifest.subset_speakers(counts[-1])
+    grid = SweepGrid((extractor,), (reducer,), (classifier,))
+    tables, failures = _frame_tables(manifest, grid.extractors, settings)
     rows: list[tuple[int, float, Optional[float]]] = []
     for count in counts:
-        entry = run_combination(
-            manifest.subset_speakers(count),
-            extractor,
-            reducer,
-            classifier,
-            master_seed=master_seed,
-            settings=settings,
-        )
+        subset = {kind: table.first_speakers(count) for kind, table in tables.items()}
+        entry = _grid_entries(manifest, grid, subset, failures, master_seed, settings)[0]
         if entry["status"] != "ok":
             raise PipelineError(f"{count}-speaker run failed: {entry['failure_reason']}")
         accuracy = entry["frame_accuracy_pct"]
@@ -533,7 +524,6 @@ __all__ = [
     "holdout_train_mask",
     "roc_auc",
     "roc_points",
-    "run_combination",
     "run_sweep",
     "speaker_scaling_curve",
     "write_sweep_outputs",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import inspect
 
 from ..errors import check_like_default
-from .base import LabeledDataset, TrainedClassifier, predict
+from .base import LabeledDataset, TrainedClassifier, check_counts, predict
 from .ffnn import FeedForwardNet, ffnn_train
 from .knn import knn_train
 from .svm import svm_train
@@ -23,7 +23,7 @@ CLASSIFIER_NAMES = tuple(_TRAINERS)
 
 
 def check_classifier(name: str, params: dict) -> None:
-    """Raise ValueError unless name is a known classifier and params are its keywords, typed as their defaults."""
+    """Raise ValueError unless name is a known classifier and params are its keywords, typed as their defaults and in range."""
     if name not in _TRAINERS:
         raise ValueError(f"unknown classifier {name!r}; expected one of {CLASSIFIER_NAMES}")
     # the data and the stage seed are passed by train_by_name, never by params
@@ -36,6 +36,7 @@ def check_classifier(name: str, params: dict) -> None:
         )
     for key, value in params.items():
         check_like_default(f"classifier {name!r} parameter {key}", value, defaults[key])
+    check_counts(params, prefix=f"classifier {name!r} parameter ")
 
 
 def train_by_name(name: str, data: LabeledDataset, seed: int = 0, **params) -> TrainedClassifier:

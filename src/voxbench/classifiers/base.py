@@ -9,6 +9,17 @@ import numpy as np
 from ..errors import DimensionMismatch
 
 
+# trainer parameters that count something, so each must be >= 1 (hidden: every layer size)
+COUNT_PARAMETERS = ("k", "min_leaf", "n_trees", "hidden", "batch_size")
+
+
+def check_counts(params: dict, prefix: str = "") -> None:
+    """Raise ValueError if a count parameter among params is below 1; prefix leads the message."""
+    for key, value in params.items():
+        if key in COUNT_PARAMETERS and min(np.atleast_1d(value)) < 1:
+            raise ValueError(f"{prefix}{key} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Frame vectors with speaker ids and a train/test split by row."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteLoss
-from .base import LabeledDataset, TrainedClassifier
+from .base import LabeledDataset, TrainedClassifier, check_counts
 
 INIT_HALF_RANGE = 0.5
 DEFAULT_HIDDEN = (20, 10)
@@ -83,8 +83,7 @@ def ffnn_train(
     batch_size: int = DEFAULT_BATCH,
 ) -> TrainedClassifier:
     """Seeded mini-batch gradient descent on the cross-entropy loss."""
-    if min(hidden) < 1:
-        raise ValueError("hidden layer sizes must be >= 1")
+    check_counts({"hidden": hidden, "batch_size": batch_size})
     x, y = data.train_points, data.train_labels
     rng = np.random.default_rng(seed)
     net = FeedForwardNet.initialized(x.shape[1], hidden, data.class_count, rng)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import LabeledDataset, TrainedClassifier
+from .base import LabeledDataset, TrainedClassifier, check_counts
 
 
 def _class_fractions(labels: np.ndarray, class_count: int) -> np.ndarray:
@@ -115,8 +115,7 @@ def grow_tree(x, y, class_count, max_splits, min_leaf) -> DecisionTreeModel:
 
 def tree_train(data: LabeledDataset, max_splits: int = 100, min_leaf: int = 1) -> TrainedClassifier:
     """Binary CART with axis-aligned splits; leaves predict their majority class."""
-    if min_leaf < 1:
-        raise ValueError("min_leaf must be >= 1")
+    check_counts({"min_leaf": min_leaf})
     x, y = data.train_points, data.train_labels
     return TrainedClassifier(
         kind="complex tree",
@@ -151,8 +150,7 @@ def bagged_trees_train(
     resample=False trains every tree on the full split (degenerates to a
     single tree when n_trees=1); kept as a validation hook.
     """
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
+    check_counts({"n_trees": n_trees, "min_leaf": min_leaf})
     x, y = data.train_points, data.train_labels
     rng = np.random.default_rng(seed)
     trees = []

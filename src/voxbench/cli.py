@@ -43,6 +43,8 @@ from .reduction import SNE_KERNELS, SneConfig, pca_fit, pca_transform, sne_fit
 MODEL_FORMAT = "voxbench-model"
 MODEL_FORMAT_VERSION = 1
 
+SCALING_CURVE_KEYS = ("extractor", "reducer", "classifier", "speaker_counts")
+
 MODEL_ALIASES = {
     "knn": "weighted knn",
     "tree": "complex tree",
@@ -171,7 +173,7 @@ def cmd_extract(args) -> int:
         signal = load_wav(wav_path)
         if not args.no_vad:
             signal = remove_silence(signal, fit_silence_model(signal)).trimmed
-        feats = extract(signal, config, speaker_label=speaker, source=source)
+        feats = extract(signal, config)
         for frame_idx, vector in enumerate(feats.values):
             rows.append((source, speaker, frame_idx, vector))
     write_feature_csv(args.out_path, rows, config.num_ceps, "c")
@@ -288,8 +290,14 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: a grid file must hold one JSON object")
-    if not isinstance(raw.get("scaling_curve") or {}, dict):
+    curve = raw.get("scaling_curve") or {}
+    if not isinstance(curve, dict):
         raise ValueError("grid 'scaling_curve' must be an object")
+    unknown = sorted(set(curve) - set(SCALING_CURVE_KEYS))
+    if unknown:
+        raise ValueError(
+            f"grid 'scaling_curve' takes no key {', '.join(unknown)}; it takes {', '.join(SCALING_CURVE_KEYS)}"
+        )
     default = default_grid()
     grid = SweepGrid(
         extractors=_grid_specs(raw, "extractors", "kind", lambda kind, rest: default_config(kind, **rest))

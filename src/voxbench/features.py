@@ -69,12 +69,10 @@ def default_config(kind: str, **overrides) -> ExtractorConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-frame feature vectors with provenance metadata."""
+    """Per-frame feature vectors, the config that produced them, and the unstable LPC frame count."""
 
     values: np.ndarray
     config: ExtractorConfig
-    speaker_label: Optional[int] = None
-    source: Optional[str] = None
     unstable_frames: int = 0
 
     def __post_init__(self):
@@ -192,8 +190,6 @@ def mel_energies(
 def mfcc(
     signal: AudioSignal,
     config: ExtractorConfig,
-    speaker_label: Optional[int] = None,
-    source: Optional[str] = None,
     max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
     """Mel-frequency cepstral coefficients, one row per kept frame."""
@@ -209,8 +205,6 @@ def mfcc(
     return FeatureMatrix(
         values=ceps[:, lo : lo + config.num_ceps],
         config=config,
-        speaker_label=speaker_label,
-        source=source,
     )
 
 
@@ -270,11 +264,11 @@ def levinson_durbin_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     return a, err, int(dead.sum())
 
 
-def lpc_to_cepstrum(lpc, gain, num_ceps: int) -> np.ndarray:
+def lpc_to_cepstrum(lpc, num_ceps: int) -> np.ndarray:
     """Cepstral coefficients c1..c_num_ceps of one all-pole model, or one per row.
 
     Uses the recursion c_n = a_n + (1/n) * sum_{k=1..n-1} k*c_k*a_{n-k},
-    with a_n = 0 beyond the model order. The gain only sets c0, which is not returned.
+    with a_n = 0 beyond the model order. c0 depends only on the gain and is not returned.
     """
     a = np.atleast_2d(np.asarray(lpc, dtype=np.float64))
     q = a.shape[1]
@@ -298,8 +292,6 @@ def lpc_analysis(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
 def lpcc(
     signal: AudioSignal,
     config: ExtractorConfig,
-    speaker_label: Optional[int] = None,
-    source: Optional[str] = None,
     max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
     """Linear-prediction cepstral coefficients, one row per kept frame."""
@@ -307,12 +299,10 @@ def lpcc(
         raise ValueError("config.kind must be 'lpcc'")
     emphasized = pre_emphasize(signal, config.pre_emphasis_a)
     frames = windowed_frames(emphasized, config, max_frames=max_frames)
-    coeffs, errors, unstable = lpc_analysis(frames, config.lpc_order_q)
+    coeffs, _, unstable = lpc_analysis(frames, config.lpc_order_q)
     return FeatureMatrix(
-        values=lpc_to_cepstrum(coeffs, errors, config.num_ceps),
+        values=lpc_to_cepstrum(coeffs, config.num_ceps),
         config=config,
-        speaker_label=speaker_label,
-        source=source,
         unstable_frames=unstable,
     )
 
@@ -367,8 +357,6 @@ def bark_band_loudness(
 def plp(
     signal: AudioSignal,
     config: ExtractorConfig,
-    speaker_label: Optional[int] = None,
-    source: Optional[str] = None,
     max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
     """Perceptual linear prediction cepstra, one row per kept frame.
@@ -386,12 +374,10 @@ def plp(
     symmetric = np.concatenate([padded, padded[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(symmetric, axis=1).real[:, : config.lpc_order_q + 1]
 
-    coeffs, errors, unstable = levinson_durbin_rows(autocorr)
+    coeffs, _, unstable = levinson_durbin_rows(autocorr)
     return FeatureMatrix(
-        values=lpc_to_cepstrum(coeffs, errors, config.num_ceps),
+        values=lpc_to_cepstrum(coeffs, config.num_ceps),
         config=config,
-        speaker_label=speaker_label,
-        source=source,
         unstable_frames=unstable,
     )
 
@@ -399,8 +385,6 @@ def plp(
 def extract(
     signal: AudioSignal,
     config: ExtractorConfig,
-    speaker_label: Optional[int] = None,
-    source: Optional[str] = None,
     max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
     """Dispatch to the extractor selected by config.kind.
@@ -409,4 +393,4 @@ def extract(
     applied before any spectral or LPC work.
     """
     fn = {"mfcc": mfcc, "lpcc": lpcc, "plp": plp}[config.kind]
-    return fn(signal, config, speaker_label=speaker_label, source=source, max_frames=max_frames)
+    return fn(signal, config, max_frames=max_frames)

@@ -29,6 +29,8 @@ DEFAULT_LEARNING_RATE = 0.2
 DEFAULT_MAX_ITER = 500
 INIT_STD = 1e-2
 SNE_KERNELS = ("gaussian", "student-t")
+MOMENTUM = 0.5
+LATE_MOMENTUM = 0.8  # from MOMENTUM_SWITCH_ITER on
 MOMENTUM_SWITCH_ITER = 100
 
 
@@ -103,16 +105,14 @@ class SneConfig:
     perplexity: Optional[float] = None  # default: min(30, (n-1)/3) at fit time
     max_iter: int = DEFAULT_MAX_ITER
     learning_rate: float = DEFAULT_LEARNING_RATE
-    momentum: float = 0.5
-    late_momentum: float = 0.8
     seed: int = 0
     kernel: str = "gaussian"
 
     def __post_init__(self):
         if self.target_dim < 1:
             raise ValueError("target_dim must be positive")
-        if not 0 <= self.momentum < 1 or not 0 <= self.late_momentum < 1:
-            raise ValueError("momentum must lie in [0, 1)")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.kernel not in SNE_KERNELS:
             raise ValueError(f"kernel must be one of {SNE_KERNELS}")
 
@@ -285,7 +285,7 @@ def sne_fit(data, config: SneConfig) -> Embedding:
             if not np.isfinite(cost):
                 raise NonFiniteCost(f"cost diverged at iteration {it}")
             trace[it] = cost
-            momentum = config.momentum if it < MOMENTUM_SWITCH_ITER else config.late_momentum
+            momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else LATE_MOMENTUM
             velocity = momentum * velocity - config.learning_rate * grad
             y = y + velocity
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from voxbench.audio_io import load_wav
+from voxbench.bench import harness
 from voxbench.bench import (
     ClassifierSpec,
     HarnessSettings,
@@ -17,7 +18,6 @@ from voxbench.bench import (
     load_manifest,
     roc_auc,
     roc_points,
-    run_combination,
     run_sweep,
     speaker_scaling_curve,
 )
@@ -25,6 +25,12 @@ from voxbench.errors import UndefinedRoc
 from voxbench.features import default_config
 
 FAST = HarnessSettings(max_frames_per_file=25)
+
+
+def run_cell(manifest, extractor, reducer, classifier, master_seed=0, settings=HarnessSettings()):
+    """The report entry of a one-cell sweep."""
+    grid = SweepGrid((extractor,), (reducer,), (classifier,))
+    return run_sweep(manifest, grid=grid, master_seed=master_seed, settings=settings)["combinations"][0]
 
 
 def pairwise_auc(labels, channel, speaker):
@@ -147,7 +153,7 @@ def test_roc_undefined_without_both_classes():
 # --- single combination ------------------------------------------------------------
 
 def test_combination_metrics_are_consistent(small_corpus):
-    entry = run_combination(
+    entry = run_cell(
         small_corpus,
         default_config("mfcc"),
         ReducerSpec("pca"),
@@ -168,22 +174,9 @@ def test_combination_metrics_are_consistent(small_corpus):
     assert entry["transductive"] is False
 
 
-def test_combination_self_test_hook(small_corpus):
-    entry = run_combination(
-        small_corpus,
-        default_config("mfcc"),
-        ReducerSpec("pca"),
-        ClassifierSpec("weighted knn", {"k": 1}),
-        master_seed=1,
-        settings=FAST,
-        self_test=True,
-    )
-    assert entry["frame_accuracy_pct"] == 100.0
-
-
 def test_failed_stage_is_recorded_not_raised(small_corpus):
     bad = default_config("mfcc", filter_count=300, fft_size=512)  # more filters than FFT bins
-    entry = run_combination(
+    entry = run_cell(
         small_corpus, bad, ReducerSpec("pca"), ClassifierSpec("weighted knn"), settings=FAST
     )
     assert entry["status"] == "failed"
@@ -191,7 +184,7 @@ def test_failed_stage_is_recorded_not_raised(small_corpus):
 
 
 def test_two_speaker_sne_knn_beats_chance_with_margin(small_corpus):
-    entry = run_combination(
+    entry = run_cell(
         small_corpus.subset_speakers(2),
         default_config("mfcc"),
         ReducerSpec("sne"),
@@ -331,7 +324,7 @@ def test_combination_equals_its_sweep_entry(small_corpus):
     for extractor in grid.extractors:
         for reducer in grid.reducers:
             for classifier in grid.classifiers:
-                entry = run_combination(
+                entry = run_cell(
                     small_corpus, extractor, reducer, classifier, master_seed=7, settings=FAST
                 )
                 assert entry["status"] == "ok"
@@ -366,6 +359,38 @@ def test_scaling_curve_rows_and_deltas(small_corpus):
     (n2, acc2, _), (n3, acc3, delta) = rows
     assert (n2, n3) == (2, 3)
     assert delta == pytest.approx(acc3 - acc2)
+
+
+@pytest.mark.parametrize("reducer", [ReducerSpec("pca"), ReducerSpec("sne", max_iter=30)])
+def test_scaling_curve_rows_equal_subset_sweeps(small_corpus, reducer):
+    extractor, classifier = default_config("mfcc"), ClassifierSpec("weighted knn", {"k": 3})
+    rows = speaker_scaling_curve(
+        small_corpus, extractor, reducer, classifier, speaker_counts=[2, 3], master_seed=2, settings=FAST
+    )
+    for count, accuracy, _ in rows:
+        entry = run_cell(
+            small_corpus.subset_speakers(count), extractor, reducer, classifier, master_seed=2, settings=FAST
+        )
+        assert accuracy == entry["frame_accuracy_pct"]
+
+
+def test_scaling_curve_reads_each_recording_once(small_corpus, monkeypatch):
+    reads = []
+
+    def counting_load_wav(path):
+        reads.append(path)
+        return load_wav(path)
+
+    monkeypatch.setattr(harness, "load_wav", counting_load_wav)
+    speaker_scaling_curve(
+        small_corpus,
+        default_config("mfcc"),
+        ReducerSpec("pca"),
+        ClassifierSpec("weighted knn", {"k": 3}),
+        speaker_counts=[2, 3],
+        settings=FAST,
+    )
+    assert sorted(reads) == sorted(small_corpus.resolve(e) for e in small_corpus.entries)
 
 
 @pytest.mark.parametrize("counts", [[], [2, 2], [1, 2], [2, 2.5]])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from voxbench.classifiers import (
     FeedForwardNet,
     LabeledDataset,
     bagged_trees_train,
+    check_classifier,
     ffnn_train,
     knn_train,
     predict,
@@ -342,3 +345,23 @@ def test_dimension_mismatch_raises():
     model = knn_train(dataset(points, labels), k=3)
     with pytest.raises(DimensionMismatch):
         predict(model, np.ones((2, 5)))
+
+
+@pytest.mark.parametrize(
+    "name, trainer, params",
+    [
+        ("weighted knn", knn_train, {"k": 0}),
+        ("complex tree", tree_train, {"min_leaf": 0}),
+        ("bagged trees", bagged_trees_train, {"n_trees": 0}),
+        ("bagged trees", bagged_trees_train, {"min_leaf": 0}),
+        ("feed forward", ffnn_train, {"hidden": (4, 0)}),
+        ("feed forward", ffnn_train, {"batch_size": 0}),
+    ],
+)
+def test_trainer_and_spec_check_share_range_rules(name, trainer, params):
+    (key, value), = params.items()
+    message = re.escape(f"{key} must be >= 1, got {value!r}")
+    with pytest.raises(ValueError, match=f"classifier '{name}' parameter {message}"):
+        check_classifier(name, params)
+    with pytest.raises(ValueError, match=message):
+        trainer(dataset([0.0, 1.0], [0, 1]), **params)

@@ -268,6 +268,13 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"reducers": [{"method": "sne", "perplexity": "3"}]},
          "reducer 'sne' perplexity must be a real number or null, got '3'"),
         ({"recall_threshold": "x"}, "recall_threshold must be a real number in [0, 1], got 'x'"),
+        ({"classifiers": [{"name": "weighted knn", "k": 0}]}, "classifier 'weighted knn' parameter k must be >= 1, got 0"),
+        ({"reducers": [{"method": "pca", "target_dim": 0}]}, "reducer 'pca': target_dim must be positive"),
+        ({"reducers": [{"method": "sne", "kernel": "bogus"}]}, "reducer 'sne': kernel must be one of"),
+        ({"classifiers": [{"name": "feed forward", "batch_size": 0}]},
+         "classifier 'feed forward' parameter batch_size must be >= 1, got 0"),
+        ({"reducers": [{"method": "sne", "max_iter": 0}]}, "reducer 'sne': max_iter must be >= 1, got 0"),
+        ({"scaling_curve": {"speaker_count": [2]}}, "grid 'scaling_curve' takes no key speaker_count"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
