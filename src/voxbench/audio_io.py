@@ -111,12 +111,19 @@ def write_wav(path, signal: AudioSignal) -> None:
         wav.writeframes(pcm.tobytes())
 
 
-def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameMatrix:
-    """Slice a signal into overlapping frames; trailing partial frames are dropped."""
+def check_frame_timing(frame_ms: float, hop_ms: float) -> None:
+    """Raise ValueError unless frame_ms lies in [10, 50] and hop_ms in (0, frame_ms] within MAX_OVERLAP."""
     if not 10.0 <= frame_ms <= 50.0:
         raise ValueError("frame_ms must lie in [10, 50]")
-    if hop_ms <= 0:
-        raise ValueError("hop_ms must be positive")
+    if not 0 < hop_ms <= frame_ms:
+        raise ValueError("hop_ms must satisfy 0 < hop_ms <= frame_ms")
+    if hop_ms * 5 < frame_ms:  # overlap = 1 - hop/frame above MAX_OVERLAP
+        raise ValueError("frame overlap above 80% is not supported")
+
+
+def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameMatrix:
+    """Slice a signal into overlapping frames; trailing partial frames are dropped."""
+    check_frame_timing(frame_ms, hop_ms)
     frame_length = int(round(frame_ms * signal.sample_rate / 1000.0))
     hop = int(round(hop_ms * signal.sample_rate / 1000.0))
     if len(signal) < frame_length:

@@ -53,7 +53,15 @@ class UnstableRecursion(PipelineError):
     """A reflection coefficient reached magnitude >= 1."""
 
 
+class FrameExceedsFft(PipelineError):
+    """An analysis frame holds more samples than the FFT size at this sample rate."""
+
+
 # --- dimensionality reduction ---
+
+class DataTooSmall(PipelineError):
+    """Too few rows or columns for the requested reduction."""
+
 
 class DegenerateData(PipelineError):
     """All rows identical; principal directions are undefined."""

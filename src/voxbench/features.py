@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 from scipy.fft import dct, idct
 
-from .audio_io import AudioSignal, frame_signal, hamming_window
-from .errors import FilterbankTooDense, UnstableRecursion
+from .audio_io import AudioSignal, check_frame_timing, frame_signal, hamming_window
+from .errors import FilterbankTooDense, FrameExceedsFft, UnstableRecursion
 
 LOG_FLOOR = 1e-10  # keeps log of empty bands finite
 EXTRACTOR_KINDS = ("mfcc", "lpcc", "plp")
@@ -58,6 +58,17 @@ class ExtractorConfig:
             raise ValueError("num_ceps must lie in [12, 15]")
         if self.dct_kind not in ("dct2", "idct"):
             raise ValueError("dct_kind must be 'dct2' or 'idct'")
+        check_frame_timing(self.frame_ms, self.hop_ms)
+        if self.kind == "mfcc":
+            _check_mel_filter_count(self.filter_count)
+        # plp's symmetric loudness spectrum must yield lpc_order_q + 1 autocorrelation lags
+        if self.kind == "plp" and 2 * (self.filter_count + 1) < self.lpc_order_q + 1:
+            raise ValueError("filter_count too small for the requested LPC order")
+
+
+def _check_mel_filter_count(filter_count: int) -> None:
+    if filter_count < 2:
+        raise ValueError("filter_count must be >= 2")
 
 
 def default_config(kind: str, **overrides) -> ExtractorConfig:
@@ -118,8 +129,7 @@ def mel_filterbank(config: ExtractorConfig, sample_rate: int) -> np.ndarray:
     Each triangle rises from the previous center and falls to the next one
     (50% overlap). Rows are evaluated at the FFT bin frequencies.
     """
-    if config.filter_count < 2:
-        raise ValueError("filter_count must be >= 2")
+    _check_mel_filter_count(config.filter_count)
     n_bins = config.fft_size // 2 + 1
     if config.filter_count > n_bins - 2:
         raise FilterbankTooDense(
@@ -163,7 +173,9 @@ def windowed_frames(
     """
     fm = frame_signal(signal, config.frame_ms, config.hop_ms)
     if config.fft_size < fm.frame_length_samples:
-        raise ValueError("fft_size must be >= the frame length in samples")
+        raise FrameExceedsFft(
+            f"fft_size must be >= the frame length in samples ({config.fft_size} < {fm.frame_length_samples})"
+        )
     frames = fm.frames[_subsample_rows(fm.frames.shape[0], max_frames)]
     return frames * hamming_window(fm.frame_length_samples)
 
@@ -366,8 +378,6 @@ def plp(
     """
     if config.kind != "plp":
         raise ValueError("config.kind must be 'plp'")
-    if 2 * (config.filter_count + 1) < config.lpc_order_q + 1:
-        raise ValueError("filter_count too small for the requested LPC order")
     loudness, _ = bark_band_loudness(signal, config, max_frames=max_frames)
 
     padded = np.concatenate([loudness[:, :1], loudness, loudness[:, -1:]], axis=1)

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
+    DataTooSmall,
     DegenerateData,
     DimensionMismatch,
     NonFiniteCost,
@@ -55,9 +56,9 @@ def pca_fit(data, target_dim: int) -> PcaModel:
     x = np.asarray(data, dtype=np.float64)
     n, d = x.shape
     if n < 2:
-        raise ValueError("need at least two rows")
+        raise DataTooSmall("need at least two rows")
     if not 1 <= target_dim <= min(n - 1, d):
-        raise ValueError("target_dim must lie in [1, min(n-1, d)]")
+        raise DataTooSmall("target_dim must lie in [1, min(n-1, d)]")
     if (x == x[0]).all():
         raise DegenerateData("all rows identical; covariance is zero")
 
@@ -113,6 +114,10 @@ class SneConfig:
             raise ValueError("target_dim must be positive")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.perplexity is not None and not self.perplexity >= 1:  # 2^H >= 1 for any row
+            raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.kernel not in SNE_KERNELS:
             raise ValueError(f"kernel must be one of {SNE_KERNELS}")
 
@@ -134,67 +139,44 @@ def pairwise_sq_distances(x) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def conditional_gaussian(data, sigmas) -> np.ndarray:
-    """Row-stochastic neighbor probabilities with fixed per-row bandwidths."""
-    d2 = pairwise_sq_distances(data)
-    betas = 1.0 / (2.0 * np.asarray(sigmas, dtype=np.float64) ** 2)
-    return _conditional_from_d2(d2, betas)
-
-
-def _conditional_from_d2(d2: np.ndarray, betas) -> np.ndarray:
-    n = d2.shape[0]
-    betas = np.broadcast_to(np.asarray(betas, dtype=np.float64), (n,))
-    logits = -d2 * betas[:, None]
-    np.fill_diagonal(logits, -np.inf)  # self-probability is zero
-    logits = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def _row_perplexity(p_row: np.ndarray) -> float:
-    nz = p_row[p_row > 0]
-    entropy_bits = float(-(nz * np.log2(nz)).sum())
-    return 2.0**entropy_bits
-
-
 def calibrated_conditionals(data, perplexity: float) -> np.ndarray:
     """Conditional matrix whose per-row perplexity matches the target.
 
     Each row's bandwidth is found by bracketed bisection on the precision
-    beta = 1/(2*sigma^2).
+    beta = 1/(2*sigma^2), every row at once; a row leaves the search when it
+    is within PERPLEXITY_TOL. The off-diagonal distances are held as n rows
+    of n-1, so each row's reductions group its values as a lone row would.
     """
-    d2 = pairwise_sq_distances(data)
-    n = d2.shape[0]
-    cond = np.zeros((n, n))
+    n = len(data)
     others = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        row = d2[i, others[i]]
-
-        def row_p(beta):
-            logits = -row * beta
-            logits -= logits.max()
-            w = np.exp(logits)
-            return w / w.sum()
-
-        beta, lo, hi = 1.0, 0.0, np.inf
-        ok = False
-        for _ in range(MAX_BANDWIDTH_STEPS):
-            p = row_p(beta)
-            diff = _row_perplexity(p) - perplexity
-            if abs(diff) <= PERPLEXITY_TOL:
-                ok = True
-                break
-            if diff > 0:  # too flat: tighten
-                lo = beta
-                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
-            else:
-                hi = beta
-                beta = beta / 2.0 if lo == 0.0 else (beta + lo) / 2.0
-        if not ok:
-            raise PerplexityUnreachable(
-                f"row {i}: perplexity {perplexity} not reachable in {MAX_BANDWIDTH_STEPS} steps"
-            )
-        cond[i, others[i]] = row_p(beta)
+    # each row's distances to the other points, replaced by its probabilities once found
+    rows = pairwise_sq_distances(data)[others].reshape(n, n - 1)
+    beta, lo, hi = np.ones(n), np.zeros(n), np.full(n, np.inf)
+    active = np.arange(n)
+    for _ in range(MAX_BANDWIDTH_STEPS):
+        logits = rows[active] * -beta[active, None]
+        logits -= logits.max(axis=1, keepdims=True)
+        p = np.exp(logits, out=logits)
+        p /= p.sum(axis=1, keepdims=True)
+        p_log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+        p_log_p *= p
+        diff = 2.0 ** -p_log_p.sum(axis=1) - perplexity
+        done = np.abs(diff) <= PERPLEXITY_TOL
+        rows[active[done]] = p[done]
+        flat = diff > 0  # too flat: tighten
+        lo[active] = np.where(flat, beta[active], lo[active])
+        hi[active] = np.where(flat, hi[active], beta[active])
+        l, h = lo[active], hi[active]  # double or halve while the bracket is open, else bisect
+        beta[active] = np.where(h == np.inf, l * 2.0, np.where(l == 0.0, h / 2.0, (l + h) / 2.0))
+        active = active[~done]
+        if active.size == 0:
+            break
+    else:
+        raise PerplexityUnreachable(
+            f"row {active[0]}: perplexity {perplexity} not reachable in {MAX_BANDWIDTH_STEPS} steps"
+        )
+    cond = np.zeros((n, n))
+    cond[others] = rows.ravel()
     return cond
 
 
@@ -208,37 +190,52 @@ def default_perplexity(n: int) -> float:
     return float(min(30.0, (n - 1) // 3))
 
 
-def sne_p_matrix(data, perplexity: Optional[float] = None) -> np.ndarray:
-    """Symmetrized joint neighbor probabilities of the input rows."""
+def _checked_rows(data, perplexity: Optional[float]) -> tuple[np.ndarray, float]:
+    """The rows as float64 and the perplexity to fit them at (default_perplexity if None)."""
     x = np.asarray(data, dtype=np.float64)
     n = x.shape[0]
     if n < 3:
-        raise ValueError("need at least three rows")
+        raise DataTooSmall("need at least three rows")
     if perplexity is None:
         perplexity = default_perplexity(n)
     if not perplexity < n:
-        raise ValueError("perplexity must be smaller than the number of rows")
-    return symmetrize_conditionals(calibrated_conditionals(x, perplexity))
+        raise PerplexityUnreachable("perplexity must be smaller than the number of rows")
+    return x, perplexity
+
+
+def sne_p_matrix(data, perplexity: Optional[float] = None) -> np.ndarray:
+    """Symmetrized joint neighbor probabilities of the input rows."""
+    return symmetrize_conditionals(calibrated_conditionals(*_checked_rows(data, perplexity)))
 
 
 def sne_conditional_q(coords) -> np.ndarray:
     """Row-stochastic Gaussian neighbor probabilities of the embedding."""
-    d2 = pairwise_sq_distances(coords)
-    return _conditional_from_d2(d2, np.ones(d2.shape[0]))
+    logits = -pairwise_sq_distances(coords)
+    np.fill_diagonal(logits, -np.inf)  # self-probability is zero
+    logits = logits - logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _kl(p_support: np.ndarray, log_p_support: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
+    """Sum of p log(p/q) over the flat indices where p > 0, given p and log p there."""
+    q_support = np.maximum(q.take(support), 1e-300)  # exp underflow, not a true zero
+    return float((p_support * (log_p_support - np.log(q_support))).sum())
 
 
 def sne_cost(p_cond: np.ndarray, q_cond: np.ndarray) -> float:
     """Summed per-point KL divergence between neighbor distributions."""
-    mask = p_cond > 0
-    q = np.maximum(q_cond[mask], 1e-300)  # exp underflow, not a true zero
-    return float((p_cond[mask] * (np.log(p_cond[mask]) - np.log(q))).sum())
+    support = np.flatnonzero(p_cond > 0)
+    p_support = p_cond.take(support)
+    return _kl(p_support, np.log(p_support), q_cond, support)
 
 
 def sne_gradient(p_cond: np.ndarray, q_cond: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Derivative of sne_cost with respect to each embedded point:
     2 * sum_j (y_i - y_j) * (p_j|i - q_j|i + p_i|j - q_i|j).
     """
-    m = (p_cond - q_cond) + (p_cond - q_cond).T
+    pq = p_cond - q_cond
+    m = pq + pq.T
     return 2.0 * (m.sum(axis=1)[:, None] * coords - m @ coords)
 
 
@@ -251,19 +248,18 @@ def _student_t_q(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sne_fit(data, config: SneConfig) -> Embedding:
     """Gradient descent with momentum on the embedding cost.
 
-    Deterministic given config.seed. Raises NonFiniteCost if the optimizer
-    diverges (learning rate too high for the data).
+    The Gaussian kernel fits the conditional P, the Student-t kernel its
+    symmetrized joint. Deterministic given config.seed. Raises NonFiniteCost
+    if the optimizer diverges (learning rate too high for the data).
     """
-    x = np.asarray(data, dtype=np.float64)
+    x, perplexity = _checked_rows(data, config.perplexity)
     n = x.shape[0]
-    if n < 3:
-        raise ValueError("need at least three rows")
-    perplexity = config.perplexity if config.perplexity is not None else default_perplexity(n)
-    if not perplexity < n:
-        raise ValueError("perplexity must be smaller than the number of rows")
-
-    p_cond = calibrated_conditionals(x, perplexity)
-    p_joint = symmetrize_conditionals(p_cond)
+    p = calibrated_conditionals(x, perplexity)
+    if config.kernel == "student-t":
+        p = symmetrize_conditionals(p)
+    support = np.flatnonzero(p > 0)
+    p_support = p.take(support)
+    log_p_support = np.log(p_support)
 
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, INIT_STD, size=(n, config.target_dim))
@@ -273,15 +269,13 @@ def sne_fit(data, config: SneConfig) -> Embedding:
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for it in range(config.max_iter):
             if config.kernel == "gaussian":
-                q_cond = sne_conditional_q(y)
-                cost = sne_cost(p_cond, q_cond)
-                grad = sne_gradient(p_cond, q_cond, y)
+                q = sne_conditional_q(y)
+                grad = sne_gradient(p, q, y)
             else:
-                d2 = pairwise_sq_distances(y)
-                q_joint, w = _student_t_q(d2)
-                cost = sne_cost(p_joint, q_joint)
-                m = (p_joint - q_joint) * w
+                q, w = _student_t_q(pairwise_sq_distances(y))
+                m = (p - q) * w
                 grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+            cost = _kl(p_support, log_p_support, q, support)
             if not np.isfinite(cost):
                 raise NonFiniteCost(f"cost diverged at iteration {it}")
             trace[it] = cost

@@ -296,6 +296,37 @@ def test_sweep_records_failures_in_csv(small_corpus, tmp_path):
     assert "failed" in table
 
 
+def test_data_dependent_reducer_limit_fails_only_its_cells(small_corpus, tmp_path):
+    grid = SweepGrid(
+        extractors=(default_config("mfcc"),),
+        reducers=(ReducerSpec("pca", target_dim=50), ReducerSpec("sne", max_iter=30)),
+        classifiers=(ClassifierSpec("weighted knn", {"k": 3}), ClassifierSpec("complex tree")),
+    )
+    report = run_sweep(small_corpus, grid=grid, master_seed=0, settings=FAST, out_dir=tmp_path)
+    assert (tmp_path / "report.json").exists()
+    for entry in report["combinations"]:
+        if entry["reducer"] == "pca":
+            assert entry["status"] == "failed"
+            assert entry["failure_reason"] == "DataTooSmall: target_dim must lie in [1, min(n-1, d)]"
+        else:
+            assert entry["status"] == "ok"
+
+
+def test_fft_shorter_than_frame_fails_only_its_extractor(small_corpus, tmp_path):
+    short_fft = default_config("mfcc", fft_size=256)  # a 25 ms frame is 400 samples at 16 kHz
+    grid = dataclasses.replace(mini_grid(), extractors=(short_fft, default_config("lpcc")))
+    report = run_sweep(small_corpus, grid=grid, master_seed=0, settings=FAST, out_dir=tmp_path)
+    assert (tmp_path / "report.json").exists()
+    for entry in report["combinations"]:
+        if entry["extractor"] == "mfcc":
+            assert entry["status"] == "failed"
+            assert entry["failure_reason"].startswith(
+                "FrameExceedsFft: fft_size must be >= the frame length in samples"
+            )
+        else:
+            assert entry["status"] == "ok"
+
+
 def test_missing_wav_fails_its_cells_not_the_sweep(small_corpus, tmp_path):
     corpus = tmp_path / "corpus"
     shutil.copytree(small_corpus.root, corpus)

@@ -275,6 +275,14 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
          "classifier 'feed forward' parameter batch_size must be >= 1, got 0"),
         ({"reducers": [{"method": "sne", "max_iter": 0}]}, "reducer 'sne': max_iter must be >= 1, got 0"),
         ({"scaling_curve": {"speaker_count": [2]}}, "grid 'scaling_curve' takes no key speaker_count"),
+        ({"reducers": [{"method": "sne", "perplexity": 0.5}]}, "reducer 'sne': perplexity must be >= 1, got 0.5"),
+        ({"reducers": [{"method": "sne", "perplexity": -3}]}, "reducer 'sne': perplexity must be >= 1, got -3"),
+        ({"reducers": [{"method": "sne", "learning_rate": 0.0}]},
+         "reducer 'sne': learning_rate must be positive, got 0.0"),
+        ({"extractors": [{"kind": "mfcc", "frame_ms": 5}]}, "frame_ms must lie in [10, 50]"),
+        ({"extractors": [{"kind": "mfcc", "hop_ms": 40}]}, "hop_ms must satisfy 0 < hop_ms <= frame_ms"),
+        ({"extractors": [{"kind": "mfcc", "filter_count": 1}]}, "filter_count must be >= 2"),
+        ({"extractors": [{"kind": "plp", "filter_count": 4}]}, "filter_count too small for the requested LPC order"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):

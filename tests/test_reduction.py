@@ -1,11 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from voxbench.errors import DegenerateData, DimensionMismatch, NonFiniteCost, PerplexityUnreachable
+from voxbench.errors import DataTooSmall, DegenerateData, DimensionMismatch, NonFiniteCost, PerplexityUnreachable
 from voxbench.reduction import (
+    INIT_STD,
+    LATE_MOMENTUM,
+    MAX_BANDWIDTH_STEPS,
+    MOMENTUM,
+    MOMENTUM_SWITCH_ITER,
+    PERPLEXITY_TOL,
     SneConfig,
     calibrated_conditionals,
-    conditional_gaussian,
+    pairwise_sq_distances,
     pca_fit,
     pca_inverse_transform,
     pca_transform,
@@ -101,7 +109,7 @@ def test_pca_dimension_mismatch():
 # --- neighbor probabilities ----------------------------------------------------
 
 def test_two_point_joint_probability():
-    cond = conditional_gaussian(np.array([[0.0], [3.0]]), sigmas=[1.0, 1.0])
+    cond = sne_conditional_q(np.array([[0.0], [3.0]]))
     np.testing.assert_allclose(cond, [[0, 1], [1, 0]])
     joint = symmetrize_conditionals(cond)
     assert joint[0, 1] == pytest.approx(0.5)
@@ -139,6 +147,83 @@ def test_duplicate_heavy_data_is_unreachable():
     data = np.zeros((5, 3))
     with pytest.raises(PerplexityUnreachable):
         calibrated_conditionals(data, perplexity=2.0)
+
+
+def per_row_calibration(data, perplexity):
+    """calibrated_conditionals one row at a time: the reference for the batched search.
+
+    Returns the conditional matrix and the number of steps each row took.
+    """
+    d2 = pairwise_sq_distances(data)
+    n = d2.shape[0]
+    cond = np.zeros((n, n))
+    steps = np.zeros(n, dtype=int)
+    others = ~np.eye(n, dtype=bool)
+    for i in range(n):
+        row = d2[i, others[i]]
+
+        def row_p(beta):
+            logits = -row * beta
+            logits -= logits.max()
+            w = np.exp(logits)
+            return w / w.sum()
+
+        beta, lo, hi = 1.0, 0.0, np.inf
+        for step in range(MAX_BANDWIDTH_STEPS):
+            p = row_p(beta)
+            nz = p[p > 0]
+            diff = 2.0 ** float(-(nz * np.log2(nz)).sum()) - perplexity
+            if abs(diff) <= PERPLEXITY_TOL:
+                break
+            if diff > 0:
+                lo = beta
+                beta = beta * 2.0 if hi == np.inf else (beta + hi) / 2.0
+            else:
+                hi = beta
+                beta = beta / 2.0 if lo == 0.0 else (beta + lo) / 2.0
+        else:
+            raise PerplexityUnreachable(f"row {i}")
+        cond[i, others[i]] = row_p(beta)
+        steps[i] = step
+    return cond, steps
+
+
+def mixed_scale_rows(n, seed):
+    """Points whose scales span e^-4..e^4, so rows need different bandwidth searches."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(0, 1, (n, 6)) * np.exp(rng.uniform(-4, 4, (n, 1)))
+
+
+@pytest.mark.parametrize("n, perplexity", [(3, 1.5), (40, 12.0), (300, 30.0)])
+def test_batched_calibration_equals_per_row_bisection(n, perplexity):
+    data = mixed_scale_rows(n, seed=n)
+    expected, steps = per_row_calibration(data, perplexity)
+    assert len(set(steps)) > 1  # rows leave the batched search at different steps
+    np.testing.assert_array_equal(calibrated_conditionals(data, perplexity), expected)
+
+
+def test_unreachable_perplexity_names_first_failing_row():
+    # the last point is equidistant from the other three, so its perplexity is 3 at any bandwidth
+    data = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(PerplexityUnreachable, match=r"^row 3: "):
+        calibrated_conditionals(data, perplexity=2.0)
+
+
+def test_calibration_raises_no_runtime_warning():
+    data = mixed_scale_rows(60, seed=1)  # wide searches underflow some probabilities to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cond = calibrated_conditionals(data, 10.0)
+    assert (cond[~np.eye(60, dtype=bool)] == 0).any()
+
+
+@pytest.mark.parametrize("fit", [lambda x, perp: sne_fit(x, SneConfig(perplexity=perp)), sne_p_matrix])
+def test_sne_rejects_data_too_small_for_it(fit):
+    rng = np.random.default_rng(20)
+    with pytest.raises(DataTooSmall, match="need at least three rows"):
+        fit(rng.normal(0, 1, (2, 3)), 1.0)
+    with pytest.raises(PerplexityUnreachable, match="perplexity must be smaller than the number of rows"):
+        fit(rng.normal(0, 1, (10, 3)), 10.0)
 
 
 # --- embedding optimizer -------------------------------------------------------
@@ -205,6 +290,25 @@ def test_fit_is_deterministic():
     second = sne_fit(data, config)
     np.testing.assert_array_equal(first.coords, second.coords)
     np.testing.assert_array_equal(first.cost_trace, second.cost_trace)
+
+
+def test_gaussian_fit_equals_plain_loop_over_public_kernels():
+    rng = np.random.default_rng(21)
+    data = rng.normal(0, 1, (30, 4))
+    config = SneConfig(perplexity=6.0, seed=4, max_iter=MOMENTUM_SWITCH_ITER + 20)
+    p = calibrated_conditionals(data, config.perplexity)
+    y = np.random.default_rng(config.seed).normal(0.0, INIT_STD, size=(30, config.target_dim))
+    velocity = np.zeros_like(y)
+    trace = []
+    for it in range(config.max_iter):
+        q = sne_conditional_q(y)
+        trace.append(sne_cost(p, q))
+        momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else LATE_MOMENTUM
+        velocity = momentum * velocity - config.learning_rate * sne_gradient(p, q, y)
+        y = y + velocity
+    emb = sne_fit(data, config)
+    np.testing.assert_array_equal(emb.coords, y)
+    np.testing.assert_array_equal(emb.cost_trace, trace)
 
 
 def test_fit_detects_divergence():
