@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -306,35 +306,34 @@ def _grid_entries(
 
     Starts from the frame tables (or extraction failures) of _frame_tables.
     Stage outputs are shared: one train mask per extractor, one embedding per
-    extractor/reducer pair, then the cells on `jobs` threads. Seeds derive
-    from (master_seed, stage tag), so serial and parallel runs, and a cell run
-    on its own, produce identical entries.
+    extractor/reducer pair, and the cells that read it. With jobs > 1 the
+    embeddings and the cells run on one pool of `jobs` threads, each cell as
+    soon as its pair's embedding is done; with jobs == 1 everything runs in
+    the calling thread. Seeds derive from (master_seed, stage tag), so serial
+    and parallel runs, and a cell run on its own, produce identical entries.
     """
     rotation = derive_seed(master_seed, "split")
     masks = {kind: holdout_train_mask(manifest, table, rotation) for kind, table in tables.items()}
-    # (extractor, reducer) -> failure reason
-    stage_errors = {(kind, r.method): reason for kind, reason in failures.items() for r in grid.reducers}
 
-    reduced: dict[tuple[str, str], np.ndarray] = {}
-    for extractor in grid.extractors:
-        for reducer in grid.reducers:
-            key = (extractor.kind, reducer.method)
-            if key in stage_errors:
-                continue
-            try:
-                seed = derive_seed(master_seed, f"embed:{extractor.kind}:{reducer.method}")
-                reduced[key], _ = reduce_for_pipeline(
-                    tables[extractor.kind].features,
-                    masks[extractor.kind],
-                    reducer.method,
-                    target_dim=reducer.target_dim,
-                    sne_config=reducer.sne_config(seed),
-                )
-            except PipelineError as exc:
-                stage_errors[key] = _failure(exc)
+    def embed(extractor: ExtractorConfig, reducer: ReducerSpec) -> tuple[Optional[np.ndarray], Optional[str]]:
+        """The pair's reduced rows, or the reason its extraction or reduction failed."""
+        if extractor.kind in failures:
+            return None, failures[extractor.kind]
+        seed = derive_seed(master_seed, f"embed:{extractor.kind}:{reducer.method}")
+        try:
+            reduced, _ = reduce_for_pipeline(
+                tables[extractor.kind].features,
+                masks[extractor.kind],
+                reducer.method,
+                target_dim=reducer.target_dim,
+                sne_config=reducer.sne_config(seed),
+            )
+        except PipelineError as exc:
+            return None, _failure(exc)
+        return reduced, None
 
-    def run_cell(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec) -> dict:
-        key = (extractor.kind, reducer.method)
+    def run_cell(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec, embedded) -> dict:
+        reduced, reason = embedded
         combo_tag = f"{extractor.kind}:{reducer.method}:{classifier.name}"
         entry = {
             "extractor": extractor.kind,
@@ -344,12 +343,11 @@ def _grid_entries(
             "transductive": reducer.method == "sne",
             "split_rotation": rotation % 10**9,
         }
-        reason = stage_errors.get(key)
         if reason is None:
             try:
                 entry.update(
                     _evaluate_split(
-                        reduced[key],
+                        reduced,
                         tables[extractor.kind],
                         masks[extractor.kind],
                         classifier,
@@ -364,17 +362,28 @@ def _grid_entries(
             entry["failure_reason"] = reason
         return entry
 
-    cells = [
-        (extractor, reducer, classifier)
-        for reducer in grid.reducers
-        for extractor in grid.extractors
-        for classifier in grid.classifiers
-    ]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(lambda cell: run_cell(*cell), cells))
+    pairs = [(extractor, reducer) for reducer in grid.reducers for extractor in grid.extractors]
+    if jobs == 1:
+        embedded = {(e.kind, r.method): embed(e, r) for e, r in pairs}
+        entries = [run_cell(e, r, c, embedded[e.kind, r.method]) for e, r in pairs for c in grid.classifiers]
     else:
-        entries = [run_cell(*cell) for cell in cells]
+        def run_cell_after(extractor, reducer, classifier, embedding: Future) -> dict:
+            return run_cell(extractor, reducer, classifier, embedding.result())
+
+        # The queue is FIFO and every embedding (SNE first: the slowest) is
+        # queued before any cell, so no cell starts until every embedding has
+        # started, and a cell never waits on work no thread has taken up.
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            embedded = {
+                (e.kind, r.method): pool.submit(embed, e, r)
+                for e, r in sorted(pairs, key=lambda pair: pair[1].method != "sne")
+            }
+            futures = [
+                pool.submit(run_cell_after, e, r, c, embedded[e.kind, r.method])
+                for e, r in sorted(pairs, key=lambda pair: pair[1].method == "sne")
+                for c in grid.classifiers
+            ]
+            entries = [future.result() for future in futures]
     entries.sort(key=lambda e: (e["reducer"], e["extractor"], e["classifier"]))
     return entries
 
@@ -403,9 +412,12 @@ def run_sweep(
 ) -> dict:
     """Every grid combination on one shared split; optionally writes report files.
 
-    Seeds derive from (master_seed, stage tag), so serial and parallel sweeps
-    produce identical reports.
+    jobs is the number of threads that run the embeddings and the cells; it
+    must be an integer >= 1. Seeds derive from (master_seed, stage tag), so
+    serial and parallel sweeps produce identical reports.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     grid = grid or default_grid()
     tables, failures = _frame_tables(manifest, grid.extractors, settings)
     report = {

@@ -285,6 +285,14 @@ def _grid_specs(raw: dict, axis: str, key: str, build) -> tuple:
     return tuple(specs)
 
 
+def _extractor_spec(kind, rest: dict) -> ExtractorConfig:
+    """default_config(kind, **rest); a ValueError names the extractor, as ReducerSpec's do."""
+    try:
+        return default_config(kind, **rest)
+    except ValueError as exc:
+        raise ValueError(f"extractor {kind!r}: {exc}") from None
+
+
 def _grid_from_json(path) -> tuple[SweepGrid, dict]:
     with open(path) as fh:
         raw = json.load(fh)
@@ -300,8 +308,7 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
         )
     default = default_grid()
     grid = SweepGrid(
-        extractors=_grid_specs(raw, "extractors", "kind", lambda kind, rest: default_config(kind, **rest))
-        or default.extractors,
+        extractors=_grid_specs(raw, "extractors", "kind", _extractor_spec) or default.extractors,
         reducers=_grid_specs(raw, "reducers", "method", lambda method, rest: ReducerSpec(method, **rest))
         or default.reducers,
         classifiers=_grid_specs(raw, "classifiers", "name", ClassifierSpec) or default.classifiers,
@@ -450,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="JSON grid config; defaults to the full 5x3x2 grid")
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="threads for the embeddings and cells (>= 1)")
     p.add_argument("--max-frames-per-file", type=int, default=DEFAULT_MAX_FRAMES_PER_FILE)
     p.add_argument("--recall-threshold", type=float, default=DEFAULT_RECALL_THRESHOLD)
     p.set_defaults(handler=cmd_bench)

@@ -103,7 +103,7 @@ class SneConfig:
     """Optimizer and kernel settings for sne_fit."""
 
     target_dim: int = 2
-    perplexity: Optional[float] = None  # default: min(30, (n-1)/3) at fit time
+    perplexity: Optional[float] = None  # default: min(30, (n-1)//3), at least 1, at fit time
     max_iter: int = DEFAULT_MAX_ITER
     learning_rate: float = DEFAULT_LEARNING_RATE
     seed: int = 0
@@ -187,7 +187,8 @@ def symmetrize_conditionals(cond: np.ndarray) -> np.ndarray:
 
 
 def default_perplexity(n: int) -> float:
-    return float(min(30.0, (n - 1) // 3))
+    """min(30, (n-1)//3), floored at 1: no row distribution has a perplexity below 1."""
+    return float(max(1, min(30, (n - 1) // 3)))
 
 
 def _checked_rows(data, perplexity: Optional[float]) -> tuple[np.ndarray, float]:
@@ -208,13 +209,38 @@ def sne_p_matrix(data, perplexity: Optional[float] = None) -> np.ndarray:
     return symmetrize_conditionals(calibrated_conditionals(*_checked_rows(data, perplexity)))
 
 
+def _gaussian_q(y: np.ndarray, q: np.ndarray, scratch: np.ndarray, p=None):
+    """Write the row-stochastic Gaussian q of the embedding y into q.
+
+    The operations and their order are those of pairwise_sq_distances followed
+    by a row softmax of -d2, so q is bitwise the same; scratch is a second n x n
+    buffer. Returns each row's logit maximum m_i and sum of exponentials s_i,
+    and <p, -d2> when p is given.
+    """
+    sq = (y**2).sum(axis=1)
+    np.add(sq[:, None], sq[None, :], out=q)
+    np.matmul(y, y.T, out=scratch)
+    scratch *= 2.0
+    q -= scratch
+    np.fill_diagonal(q, 0.0)
+    np.maximum(q, 0.0, out=q)
+    np.negative(q, out=q)
+    p_dot_logits = None if p is None else float(np.vdot(p, q))
+    np.fill_diagonal(q, -np.inf)  # self-probability is zero
+    row_max = q.max(axis=1)
+    q -= row_max[:, None]
+    np.exp(q, out=q)
+    row_sum = q.sum(axis=1)
+    q /= row_sum[:, None]
+    return row_max, row_sum, p_dot_logits
+
+
 def sne_conditional_q(coords) -> np.ndarray:
     """Row-stochastic Gaussian neighbor probabilities of the embedding."""
-    logits = -pairwise_sq_distances(coords)
-    np.fill_diagonal(logits, -np.inf)  # self-probability is zero
-    logits = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    return w / w.sum(axis=1, keepdims=True)
+    y = np.asarray(coords, dtype=np.float64)
+    q = np.empty((len(y), len(y)))
+    _gaussian_q(y, q, np.empty_like(q))
+    return q
 
 
 def _kl(p_support: np.ndarray, log_p_support: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
@@ -251,15 +277,25 @@ def sne_fit(data, config: SneConfig) -> Embedding:
     The Gaussian kernel fits the conditional P, the Student-t kernel its
     symmetrized joint. Deterministic given config.seed. Raises NonFiniteCost
     if the optimizer diverges (learning rate too high for the data).
+
+    A Gaussian iteration runs in two n x n buffers, and takes its cost from the
+    row normalisers: with log q_ij = -d2_ij - m_i - log s_i,
+    KL = sum p log p - <p, -d2> + sum_i (sum_j p_ij) (m_i + log s_i).
     """
     x, perplexity = _checked_rows(data, config.perplexity)
     n = x.shape[0]
     p = calibrated_conditionals(x, perplexity)
     if config.kernel == "student-t":
         p = symmetrize_conditionals(p)
-    support = np.flatnonzero(p > 0)
-    p_support = p.take(support)
-    log_p_support = np.log(p_support)
+        support = np.flatnonzero(p > 0)
+        p_support = p.take(support)
+        log_p_support = np.log(p_support)
+    else:
+        p_positive = p[p > 0]
+        neg_entropy = float(np.dot(p_positive, np.log(p_positive)))
+        del p_positive
+        p_row_sums = p.sum(axis=1)
+        q, m = np.empty((n, n)), np.empty((n, n))
 
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, INIT_STD, size=(n, config.target_dim))
@@ -269,13 +305,17 @@ def sne_fit(data, config: SneConfig) -> Embedding:
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for it in range(config.max_iter):
             if config.kernel == "gaussian":
-                q = sne_conditional_q(y)
-                grad = sne_gradient(p, q, y)
+                row_max, row_sum, p_dot_logits = _gaussian_q(y, q, m, p)
+                cost = neg_entropy - p_dot_logits + float(np.dot(p_row_sums, row_max + np.log(row_sum)))
+                # sne_gradient, with p - q and m = pq + pq^T written into the buffers
+                np.subtract(p, q, out=q)
+                np.add(q, q.T, out=m)
+                grad = 2.0 * (m.sum(axis=1)[:, None] * y - m @ y)
             else:
                 q, w = _student_t_q(pairwise_sq_distances(y))
                 m = (p - q) * w
                 grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
-            cost = _kl(p_support, log_p_support, q, support)
+                cost = _kl(p_support, log_p_support, q, support)
             if not np.isfinite(cost):
                 raise NonFiniteCost(f"cost diverged at iteration {it}")
             trace[it] = cost

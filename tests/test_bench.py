@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
@@ -274,6 +275,82 @@ def test_sweep_deterministic_and_parallel_identical(small_corpus, tmp_path):
     )
     for name in ("report.json", "accuracy_pca.csv", "distinguishable_pca.csv"):
         assert (serial / name).read_bytes() == (threaded / name).read_bytes(), name
+
+
+def pair_grid(sne=ReducerSpec("sne", max_iter=30)):
+    """mfcc and lpcc, each through SNE and PCA, into two classifiers."""
+    return SweepGrid(
+        extractors=(default_config("mfcc"), default_config("lpcc")),
+        reducers=(sne, ReducerSpec("pca")),
+        classifiers=(ClassifierSpec("weighted knn", {"k": 3}), ClassifierSpec("complex tree")),
+    )
+
+
+def grid_entries(manifest, grid, tables, failures, jobs):
+    return harness._grid_entries(manifest, grid, tables, failures, 7, FAST, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [2, 5])  # 5 threads > 4 embeddings: a cell waits on a running fit
+def test_pooled_embeddings_and_cells_equal_serial_entries(small_corpus, jobs):
+    grid = pair_grid()
+    tables, failures = harness._frame_tables(small_corpus, grid.extractors, FAST)
+    serial = grid_entries(small_corpus, grid, tables, failures, jobs=1)
+    assert len(serial) == 8 and all(e["status"] == "ok" for e in serial)
+    pooled = []
+    sweep = threading.Thread(
+        target=lambda: pooled.append(grid_entries(small_corpus, grid, tables, failures, jobs=jobs)), daemon=True
+    )
+    sweep.start()
+    sweep.join(timeout=120)
+    assert not sweep.is_alive(), "a cell waited on an embedding that never ran"
+    assert pooled == [serial]
+
+
+@pytest.mark.parametrize(
+    "lpcc_rows, perplexity, reason",
+    [
+        (slice(0, 2), None, "DataTooSmall: need at least three rows"),
+        (slice(0, None, 3), 50.0, "PerplexityUnreachable: perplexity must be smaller than the number of rows"),
+    ],
+)
+def test_failed_sne_pair_fails_only_its_cells_on_the_pool(small_corpus, lpcc_rows, perplexity, reason):
+    grid = pair_grid(ReducerSpec("sne", perplexity=perplexity, max_iter=30))
+    tables, failures = harness._frame_tables(small_corpus, grid.extractors, FAST)
+    lpcc = tables["lpcc"]
+    tables["lpcc"] = harness.FrameTable(
+        lpcc.features[lpcc_rows], lpcc.speakers[lpcc_rows], lpcc.recordings[lpcc_rows], lpcc.class_count
+    )
+    assert len(tables["mfcc"].features) == 150  # so SNE at perplexity 50 fits mfcc and not lpcc
+    entries = grid_entries(small_corpus, grid, tables, failures, jobs=2)
+    for entry in entries:
+        if entry["extractor"] == "lpcc" and entry["reducer"] == "sne":
+            assert entry["status"] == "failed" and entry["failure_reason"] == reason
+        elif entry["extractor"] == "mfcc":
+            assert entry["status"] == "ok"
+    assert entries == grid_entries(small_corpus, grid, tables, failures, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reductions_run_in_the_calling_thread_only_when_serial(small_corpus, monkeypatch, jobs):
+    threads = []
+    reduce = harness.reduce_for_pipeline
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "reduce_for_pipeline", recording)
+    run_sweep(small_corpus, grid=pair_grid(), settings=FAST, jobs=jobs)
+    assert len(threads) == 4
+    on_main = [thread is threading.main_thread() for thread in threads]
+    assert all(on_main) if jobs == 1 else not any(on_main)
+
+
+@pytest.mark.parametrize("jobs", [0, -2, 1.5, True, "2"])
+def test_sweep_rejects_bad_jobs_before_reading(small_corpus, monkeypatch, jobs):
+    monkeypatch.setattr(harness, "load_wav", lambda path: pytest.fail(f"read {path}"))
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        run_sweep(small_corpus, grid=mini_grid(), settings=FAST, jobs=jobs)
 
 
 def test_sweep_reports_reference_fixtures(small_corpus, tmp_path):

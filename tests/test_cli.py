@@ -239,6 +239,15 @@ def test_bench_rejects_bad_frame_cap_before_reading(cli_corpus, tmp_path, monkey
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_rejects_bad_jobs_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, jobs):
+    _no_wav_reads(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--out", str(out), f"--jobs={jobs}"]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be an integer >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
 def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"extractors": [{"kind": "mfcc"}, {"kind": "mfcc", "num_ceps": 12}]}))
@@ -283,6 +292,9 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"extractors": [{"kind": "mfcc", "hop_ms": 40}]}, "hop_ms must satisfy 0 < hop_ms <= frame_ms"),
         ({"extractors": [{"kind": "mfcc", "filter_count": 1}]}, "filter_count must be >= 2"),
         ({"extractors": [{"kind": "plp", "filter_count": 4}]}, "filter_count too small for the requested LPC order"),
+        ({"extractors": [{"kind": "lpcc", "frame_ms": 60}]}, "extractor 'lpcc': frame_ms must lie in [10, 50]"),
+        ({"extractors": [{"kind": "plp", "num_ceps": 20}]}, "extractor 'plp': num_ceps must lie in [12, 15]"),
+        ({"extractors": [{"kind": "mfcc", "hop_ms": 40}]}, "extractor 'mfcc': hop_ms must satisfy"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
