@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -307,10 +307,10 @@ def _grid_entries(
     Starts from the frame tables (or extraction failures) of _frame_tables.
     Stage outputs are shared: one train mask per extractor, one embedding per
     extractor/reducer pair, and the cells that read it. With jobs > 1 the
-    embeddings and the cells run on one pool of `jobs` threads, each cell as
-    soon as its pair's embedding is done; with jobs == 1 everything runs in
-    the calling thread. Seeds derive from (master_seed, stage tag), so serial
-    and parallel runs, and a cell run on its own, produce identical entries.
+    embeddings run on a pool of `jobs` threads; the cells always run in the
+    calling thread, after the last embedding. Seeds derive from (master_seed,
+    stage tag), so serial and parallel runs, and a cell run on its own,
+    produce identical entries.
     """
     rotation = derive_seed(master_seed, "split")
     masks = {kind: holdout_train_mask(manifest, table, rotation) for kind, table in tables.items()}
@@ -364,26 +364,19 @@ def _grid_entries(
 
     pairs = [(extractor, reducer) for reducer in grid.reducers for extractor in grid.extractors]
     if jobs == 1:
-        embedded = {(e.kind, r.method): embed(e, r) for e, r in pairs}
-        entries = [run_cell(e, r, c, embedded[e.kind, r.method]) for e, r in pairs for c in grid.classifiers]
+        embedded = [embed(*pair) for pair in pairs]
     else:
-        def run_cell_after(extractor, reducer, classifier, embedding: Future) -> dict:
-            return run_cell(extractor, reducer, classifier, embedding.result())
-
-        # The queue is FIFO and every embedding (SNE first: the slowest) is
-        # queued before any cell, so no cell starts until every embedding has
-        # started, and a cell never waits on work no thread has taken up.
+        # An SNE fit spends its time in n x n NumPy kernels that release the
+        # GIL, so fits overlap on threads. A cell is small-array NumPy and
+        # Python that holds it: beside a cell a fit ran 2-3x slower, and cells
+        # on two threads took longer than one after another.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            embedded = {
-                (e.kind, r.method): pool.submit(embed, e, r)
-                for e, r in sorted(pairs, key=lambda pair: pair[1].method != "sne")
-            }
-            futures = [
-                pool.submit(run_cell_after, e, r, c, embedded[e.kind, r.method])
-                for e, r in sorted(pairs, key=lambda pair: pair[1].method == "sne")
-                for c in grid.classifiers
-            ]
-            entries = [future.result() for future in futures]
+            embedded = list(pool.map(lambda pair: embed(*pair), pairs))
+    entries = [
+        run_cell(extractor, reducer, classifier, embedding)
+        for (extractor, reducer), embedding in zip(pairs, embedded)
+        for classifier in grid.classifiers
+    ]
     entries.sort(key=lambda e: (e["reducer"], e["extractor"], e["classifier"]))
     return entries
 
@@ -412,8 +405,8 @@ def run_sweep(
 ) -> dict:
     """Every grid combination on one shared split; optionally writes report files.
 
-    jobs is the number of threads that run the embeddings and the cells; it
-    must be an integer >= 1. Seeds derive from (master_seed, stage tag), so
+    jobs is the number of threads that run the embeddings; it must be an
+    integer >= 1. Seeds derive from (master_seed, stage tag), so
     serial and parallel sweeps produce identical reports.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:

@@ -457,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="JSON grid config; defaults to the full 5x3x2 grid")
     p.add_argument("--out", dest="out_dir", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="threads for the embeddings and cells (>= 1)")
+    p.add_argument("--jobs", type=int, default=1, help="threads for the embeddings (>= 1)")
     p.add_argument("--max-frames-per-file", type=int, default=DEFAULT_MAX_FRAMES_PER_FILE)
     p.add_argument("--recall-threshold", type=float, default=DEFAULT_RECALL_THRESHOLD)
     p.set_defaults(handler=cmd_bench)

@@ -290,20 +290,13 @@ def grid_entries(manifest, grid, tables, failures, jobs):
     return harness._grid_entries(manifest, grid, tables, failures, 7, FAST, jobs=jobs)
 
 
-@pytest.mark.parametrize("jobs", [2, 5])  # 5 threads > 4 embeddings: a cell waits on a running fit
-def test_pooled_embeddings_and_cells_equal_serial_entries(small_corpus, jobs):
+@pytest.mark.parametrize("jobs", [2, 5])  # 5 threads > 4 embeddings
+def test_pooled_embeddings_equal_serial_entries(small_corpus, jobs):
     grid = pair_grid()
     tables, failures = harness._frame_tables(small_corpus, grid.extractors, FAST)
     serial = grid_entries(small_corpus, grid, tables, failures, jobs=1)
     assert len(serial) == 8 and all(e["status"] == "ok" for e in serial)
-    pooled = []
-    sweep = threading.Thread(
-        target=lambda: pooled.append(grid_entries(small_corpus, grid, tables, failures, jobs=jobs)), daemon=True
-    )
-    sweep.start()
-    sweep.join(timeout=120)
-    assert not sweep.is_alive(), "a cell waited on an embedding that never ran"
-    assert pooled == [serial]
+    assert grid_entries(small_corpus, grid, tables, failures, jobs=jobs) == serial
 
 
 @pytest.mark.parametrize(
@@ -344,6 +337,32 @@ def test_reductions_run_in_the_calling_thread_only_when_serial(small_corpus, mon
     assert len(threads) == 4
     on_main = [thread is threading.main_thread() for thread in threads]
     assert all(on_main) if jobs == 1 else not any(on_main)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cells_run_in_the_calling_thread_after_every_embedding(small_corpus, monkeypatch, jobs):
+    # a cell beside an SNE fit holds the GIL the fit needs, so the two never overlap
+    events = []
+    reduce, evaluate = harness.reduce_for_pipeline, harness._evaluate_split
+
+    def reducing(*args, **kwargs):
+        events.append(("reduce start", threading.current_thread()))
+        try:
+            return reduce(*args, **kwargs)
+        finally:
+            events.append(("reduce end", threading.current_thread()))
+
+    def evaluating(*args, **kwargs):
+        events.append(("cell", threading.current_thread()))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "reduce_for_pipeline", reducing)
+    monkeypatch.setattr(harness, "_evaluate_split", evaluating)
+    run_sweep(small_corpus, grid=pair_grid(), settings=FAST, jobs=jobs)
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("reduce end") == 4 and kinds.count("cell") == 8
+    assert kinds[8:] == ["cell"] * 8
+    assert all(thread is threading.main_thread() for kind, thread in events if kind == "cell")
 
 
 @pytest.mark.parametrize("jobs", [0, -2, 1.5, True, "2"])
