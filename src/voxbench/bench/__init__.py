@@ -14,7 +14,6 @@ from .harness import (
     HarnessSettings,
     ReducerSpec,
     SweepGrid,
-    corpus_frames,
     default_grid,
     holdout_train_mask,
     roc_auc,
@@ -44,7 +43,6 @@ __all__ = [
     "REFERENCE_SCALING",
     "ReducerSpec",
     "SweepGrid",
-    "corpus_frames",
     "default_grid",
     "derive_seed",
     "generate_synthetic_corpus",

@@ -24,6 +24,7 @@ FORMANT_DETUNE_PER_RECORDING = 0.008
 PULSE_AMP_JITTER = 0.05
 PULSE_PERIOD_JITTER = 0.005
 ASPIRATION_NOISE = 0.01
+MANIFEST_COLUMNS = ("path", "speaker", "sample")
 
 
 def derive_seed(master_seed: int, tag: str) -> int:
@@ -76,7 +77,7 @@ class CorpusManifest:
 def save_manifest(manifest: CorpusManifest, csv_path) -> None:
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "speaker", "sample"])
+        writer.writerow(MANIFEST_COLUMNS)
         for entry in manifest.entries:
             writer.writerow([entry.path, entry.speaker, entry.sample])
 
@@ -85,10 +86,16 @@ def load_manifest(csv_path) -> CorpusManifest:
     csv_path = Path(csv_path)
     entries = []
     with open(csv_path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(
-                ManifestEntry(path=row["path"], speaker=int(row["speaker"]), sample=int(row["sample"]))
-            )
+        reader = csv.DictReader(fh)
+        if not set(MANIFEST_COLUMNS) <= set(reader.fieldnames or ()):
+            raise ValueError(f"{csv_path}: header must name the columns {','.join(MANIFEST_COLUMNS)}")
+        for row in reader:
+            try:
+                entries.append(
+                    ManifestEntry(path=row["path"], speaker=int(row["speaker"]), sample=int(row["sample"]))
+                )
+            except (TypeError, ValueError):  # int(None) for a short row
+                raise ValueError(f"{csv_path}: line {reader.line_num}: speaker and sample must be integers") from None
     return CorpusManifest(entries=tuple(entries), root=csv_path.parent)
 
 

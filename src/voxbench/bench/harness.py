@@ -144,42 +144,6 @@ class FrameTable:
         return FrameTable(self.features[rows], self.speakers[rows], self.recordings[rows], count)
 
 
-def corpus_frames(
-    manifest: CorpusManifest,
-    config: ExtractorConfig,
-    settings: HarnessSettings = HarnessSettings(),
-) -> FrameTable:
-    """Silence-trim every recording and extract its kept frames into one frame table."""
-    speaker_to_class = {sid: i for i, sid in enumerate(manifest.speaker_ids)}
-    blocks, speakers, recordings = [], [], []
-    sample_rate = manifest.sample_rate
-    for rec_idx, entry in enumerate(manifest.entries):
-        signal = load_wav(manifest.resolve(entry))
-        if sample_rate is None:
-            sample_rate = signal.sample_rate
-        elif signal.sample_rate != sample_rate:
-            raise PipelineError(
-                f"{entry.path}: sample rate {signal.sample_rate} differs from corpus {sample_rate}"
-            )
-        model = fit_silence_model(signal, u_threshold=settings.vad_u_threshold)
-        with warnings.catch_warnings():
-            # speech-dense recordings trip the contamination warning by design
-            warnings.simplefilter("ignore")
-            trimmed = remove_silence(
-                signal, model, min_segment_ms=settings.vad_min_segment_ms
-            ).trimmed
-        values = extract(trimmed, config, max_frames=settings.max_frames_per_file).values
-        blocks.append(values)
-        speakers.append(np.full(values.shape[0], speaker_to_class[entry.speaker]))
-        recordings.append(np.full(values.shape[0], rec_idx))
-    return FrameTable(
-        features=np.vstack(blocks),
-        speakers=np.concatenate(speakers),
-        recordings=np.concatenate(recordings),
-        class_count=len(speaker_to_class),
-    )
-
-
 def holdout_train_mask(manifest: CorpusManifest, table: FrameTable, rotation: int) -> np.ndarray:
     """True for frames of training recordings; one recording per speaker held out.
 
@@ -282,14 +246,51 @@ def _failure(exc: PipelineError) -> str:
 def _frame_tables(
     manifest: CorpusManifest, extractors, settings: HarnessSettings
 ) -> tuple[dict[str, FrameTable], dict[str, str]]:
-    """One frame table per extractor kind, or the reason its extraction failed."""
-    tables: dict[str, FrameTable] = {}
+    """One frame table per extractor kind, or the reason its extraction failed.
+
+    Each recording is read and silence-trimmed once for all extractors. An
+    extractor's reason is the first PipelineError its frames meet, in manifest
+    order; an error reading or trimming a recording fails every extractor still live.
+    """
+    blocks: dict[str, list[np.ndarray]] = {extractor.kind: [] for extractor in extractors}
     failures: dict[str, str] = {}
-    for extractor in extractors:
+    sample_rate = manifest.sample_rate
+    for entry in manifest.entries:
+        live = [extractor for extractor in extractors if extractor.kind not in failures]
+        if not live:
+            break
         try:
-            tables[extractor.kind] = corpus_frames(manifest, extractor, settings)
+            signal = load_wav(manifest.resolve(entry))
+            if sample_rate is None:
+                sample_rate = signal.sample_rate
+            elif signal.sample_rate != sample_rate:
+                raise PipelineError(
+                    f"{entry.path}: sample rate {signal.sample_rate} differs from corpus {sample_rate}"
+                )
+            model = fit_silence_model(signal, u_threshold=settings.vad_u_threshold)
+            with warnings.catch_warnings():
+                # speech-dense recordings trip the contamination warning by design
+                warnings.simplefilter("ignore")
+                trimmed = remove_silence(
+                    signal, model, min_segment_ms=settings.vad_min_segment_ms
+                ).trimmed
         except PipelineError as exc:
-            failures[extractor.kind] = _failure(exc)
+            failures.update((extractor.kind, _failure(exc)) for extractor in live)
+            continue
+        for extractor in live:
+            try:
+                values = extract(trimmed, extractor, max_frames=settings.max_frames_per_file).values
+                blocks[extractor.kind].append(values)
+            except PipelineError as exc:
+                failures[extractor.kind] = _failure(exc)
+    speaker_to_class = {sid: i for i, sid in enumerate(manifest.speaker_ids)}
+    classes = [speaker_to_class[entry.speaker] for entry in manifest.entries]
+    tables: dict[str, FrameTable] = {}
+    for kind, values in blocks.items():
+        if kind not in failures:
+            counts = [len(block) for block in values]
+            recordings = np.repeat(np.arange(len(counts)), counts)
+            tables[kind] = FrameTable(np.vstack(values), np.repeat(classes, counts), recordings, len(speaker_to_class))
     return tables, failures
 
 
@@ -524,7 +525,6 @@ __all__ = [
     "SweepGrid",
     "check_speaker_counts",
     "confusion_matrix",
-    "corpus_frames",
     "default_grid",
     "holdout_train_mask",
     "roc_auc",

@@ -20,6 +20,12 @@ def check_counts(params: dict, prefix: str = "") -> None:
             raise ValueError(f"{prefix}{key} must be >= 1, got {value!r}")
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance of every row of a to every row of b, clamped at 0."""
+    d2 = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * a @ b.T
+    return np.maximum(d2, 0.0)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Frame vectors with speaker ids and a train/test split by row."""

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import LabeledDataset, TrainedClassifier, check_counts
+from .base import LabeledDataset, TrainedClassifier, check_counts, squared_distances
 
 DISTANCE_EPSILON = 1e-12  # guards exact hits; an on-point query dominates the vote
 
@@ -20,12 +20,7 @@ class WeightedKnnModel:
     class_count: int
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
-        d2 = (
-            (queries**2).sum(axis=1)[:, None]
-            + (self.points**2).sum(axis=1)[None, :]
-            - 2.0 * queries @ self.points.T
-        )
-        d2 = np.maximum(d2, 0.0)
+        d2 = squared_distances(queries, self.points)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
         weights = 1.0 / (DISTANCE_EPSILON + np.take_along_axis(d2, nearest, axis=1))
         out = np.zeros((queries.shape[0], self.class_count))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NoConvergence
-from .base import LabeledDataset, TrainedClassifier
+from .base import LabeledDataset, TrainedClassifier, squared_distances
 
 KKT_TOLERANCE = 1e-3
 MIN_ALPHA_STEP = 1e-10
@@ -20,12 +20,7 @@ MARGIN_TIEBREAK = 1e-3  # well below one vote; orders equal-vote classes only
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    d2 = (
-        (a**2).sum(axis=1)[:, None]
-        + (b**2).sum(axis=1)[None, :]
-        - 2.0 * a @ b.T
-    )
-    return np.exp(-np.maximum(d2, 0.0) / (2.0 * scale**2))
+    return np.exp(-squared_distances(a, b) / (2.0 * scale**2))
 
 
 @dataclass

@@ -143,19 +143,14 @@ def bagged_trees_train(
     seed: int = 0,
     max_splits: int = 100,
     min_leaf: int = 1,
-    resample: bool = True,
 ) -> TrainedClassifier:
-    """CART ensemble on seeded bootstrap resamples, majority vote at query time.
-
-    resample=False trains every tree on the full split (degenerates to a
-    single tree when n_trees=1); kept as a validation hook.
-    """
+    """CART ensemble on seeded bootstrap resamples, majority vote at query time."""
     check_counts({"n_trees": n_trees, "min_leaf": min_leaf})
     x, y = data.train_points, data.train_labels
     rng = np.random.default_rng(seed)
     trees = []
     for _ in range(n_trees):
-        idx = rng.integers(0, y.size, y.size) if resample else np.arange(y.size)
+        idx = rng.integers(0, y.size, y.size)
         trees.append(grow_tree(x[idx], y[idx], data.class_count, max_splits, min_leaf))
     return TrainedClassifier(
         kind="bagged trees",

@@ -76,6 +76,8 @@ def read_feature_csv(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        if len(header) < 3:
+            raise ValueError(f"{path}: header has {len(header)} fields, expected at least 3 (source, speaker, frame)")
         value_cols = len(header) - 3
         for row in reader:
             if not row:

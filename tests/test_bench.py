@@ -1,7 +1,10 @@
 import dataclasses
+import importlib.util
 import json
 import shutil
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ from voxbench.bench import (
     HarnessSettings,
     ReducerSpec,
     SweepGrid,
-    corpus_frames,
     generate_synthetic_corpus,
     holdout_train_mask,
     load_manifest,
@@ -22,6 +24,7 @@ from voxbench.bench import (
     run_sweep,
     speaker_scaling_curve,
 )
+from voxbench import reduction
 from voxbench.errors import UndefinedRoc
 from voxbench.features import default_config
 
@@ -94,7 +97,7 @@ def test_manifest_validation(tmp_path):
 # --- split ---------------------------------------------------------------------
 
 def test_holdout_split_never_straddles_recordings(small_corpus):
-    table = corpus_frames(small_corpus, default_config("mfcc"), FAST)
+    table = harness._frame_tables(small_corpus, (default_config("mfcc"),), FAST)[0]["mfcc"]
     mask = holdout_train_mask(small_corpus, table, rotation=0)
     for rec in np.unique(table.recordings):
         rows = table.recordings == rec
@@ -108,10 +111,54 @@ def test_holdout_split_never_straddles_recordings(small_corpus):
 
 
 def test_holdout_rotation_changes_selection(small_corpus):
-    table = corpus_frames(small_corpus, default_config("mfcc"), FAST)
+    table = harness._frame_tables(small_corpus, (default_config("mfcc"),), FAST)[0]["mfcc"]
     first = holdout_train_mask(small_corpus, table, rotation=0)
     second = holdout_train_mask(small_corpus, table, rotation=1)
     assert (first != second).any()
+
+
+# --- frame tables ----------------------------------------------------------------
+
+FRAME_GRID = (
+    default_config("mfcc", frame_ms=20, hop_ms=8),
+    default_config("lpcc"),
+    default_config("plp", fft_size=1024),
+)
+
+
+@pytest.mark.parametrize("cap", [None, 7])
+def test_shared_pass_tables_equal_one_extractor_passes(small_corpus, cap):
+    settings = HarnessSettings(max_frames_per_file=cap)
+    tables, failures = harness._frame_tables(small_corpus, FRAME_GRID, settings)
+    assert failures == {} and list(tables) == ["mfcc", "lpcc", "plp"]
+    if cap is None:  # a 20/8 ms mfcc keeps more rows than the 25/10 ms lpcc
+        assert len(tables["mfcc"].features) > len(tables["lpcc"].features)
+    for extractor in FRAME_GRID:
+        alone = harness._frame_tables(small_corpus, (extractor,), settings)[0][extractor.kind]
+        shared = tables[extractor.kind]
+        assert shared.class_count == alone.class_count
+        for name in ("features", "speakers", "recordings"):
+            got, want = getattr(shared, name), getattr(alone, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_sweep_reads_and_trims_each_recording_once(small_corpus, monkeypatch):
+    calls = {"load_wav": 0, "fit_silence_model": 0, "remove_silence": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    grid = SweepGrid(FRAME_GRID, (ReducerSpec("pca"),), (ClassifierSpec("weighted knn", {"k": 3}),))
+    report = run_sweep(small_corpus, grid=grid, settings=FAST)
+    assert all(entry["status"] == "ok" for entry in report["combinations"])
+    assert calls == dict.fromkeys(calls, len(small_corpus.entries))
 
 
 # --- ROC -------------------------------------------------------------------------
@@ -365,6 +412,30 @@ def test_cells_run_in_the_calling_thread_after_every_embedding(small_corpus, mon
     assert all(thread is threading.main_thread() for kind, thread in events if kind == "cell")
 
 
+def test_sweep_crosses_every_traced_boundary(small_corpus, tmp_path, monkeypatch):
+    # the traced benchmark wraps these names from outside; a frame or stage
+    # refactor that stops calling one through its module fails here
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).parents[1] / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.HARNESS_NAMES:
+        monkeypatch.setattr(harness, name, getattr(harness, name))
+    for name in ("sne_fit", "pca_fit", *spans.REDUCTION_KERNEL_NAMES):
+        monkeypatch.setattr(reduction, name, getattr(reduction, name))
+    tracer = spans.Tracer("test")
+    spans.install(tracer)
+    grid = SweepGrid(
+        (default_config("mfcc"),),
+        (ReducerSpec("pca"), ReducerSpec("sne", max_iter=30)),
+        (ClassifierSpec("weighted knn", {"k": 3}),),
+    )
+    run_sweep(small_corpus, grid=grid, settings=FAST, out_dir=tmp_path)
+    spans.check_boundaries(tracer, ["pca", "sne"])
+
+
 @pytest.mark.parametrize("jobs", [0, -2, 1.5, True, "2"])
 def test_sweep_rejects_bad_jobs_before_reading(small_corpus, monkeypatch, jobs):
     monkeypatch.setattr(harness, "load_wav", lambda path: pytest.fail(f"read {path}"))
@@ -437,6 +508,29 @@ def test_missing_wav_fails_its_cells_not_the_sweep(small_corpus, tmp_path):
         assert missing in entry["failure_reason"]
     names = {p.name for p in out.iterdir()}
     assert names == {"report.json", "accuracy_pca.csv", "distinguishable_pca.csv"}
+
+
+def test_extractor_failure_is_the_first_error_its_frames_meet(small_corpus, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus.root, corpus)
+    missing = small_corpus.entries[1].path
+    (corpus / missing).unlink()
+    manifest = load_manifest(corpus / "manifest.csv")
+    reads = []
+
+    def counting_load_wav(path):
+        reads.append(path)
+        return load_wav(path)
+
+    monkeypatch.setattr(harness, "load_wav", counting_load_wav)
+    short_fft = default_config("mfcc", fft_size=256)  # fails on the first recording
+    extractors = (short_fft, default_config("lpcc"), default_config("plp"))
+    tables, failures = harness._frame_tables(manifest, extractors, FAST)
+    assert tables == {}
+    assert failures["mfcc"].startswith("FrameExceedsFft: ")
+    assert failures["lpcc"].startswith("UnreadableAudio: ") and missing in failures["lpcc"]
+    assert failures["plp"] == failures["lpcc"]
+    assert len(reads) == 2  # no recording is read once every extractor has failed
 
 
 def test_combination_equals_its_sweep_entry(small_corpus):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -15,6 +16,7 @@ from voxbench.classifiers import (
     train_by_name,
     tree_train,
 )
+from voxbench.classifiers.trees import grow_tree
 from voxbench.errors import DimensionMismatch, KTooLarge
 
 
@@ -168,14 +170,17 @@ def test_tree_accuracy_nondecreasing_in_split_budget():
 
 # --- bagged trees ------------------------------------------------------------------
 
-def test_bagging_without_resampling_equals_single_tree():
+def test_one_tree_bag_is_grown_on_the_seeded_bootstrap_rows():
     rng = np.random.default_rng(4)
-    points, labels = blobs(rng)
-    data = dataset(points, labels)
-    single = tree_train(data)
-    bag = bagged_trees_train(data, n_trees=1, seed=0, resample=False)
-    queries = rng.normal(3, 3, (40, 2))
-    np.testing.assert_array_equal(predict(single, queries)[0], predict(bag, queries)[0])
+    points, labels = blobs(rng, spread=3.0)
+    data = dataset(points, labels, train_mask=np.arange(labels.size) % 5 != 0)
+    x, y = data.train_points, data.train_labels
+    rows = np.random.default_rng(11).integers(0, y.size, y.size)
+    expected = grow_tree(x[rows], y[rows], data.class_count, max_splits=100, min_leaf=1)
+    (tree,) = bagged_trees_train(data, n_trees=1, seed=11).payload.trees
+    assert tree.feature.size > 3  # the overlapping blobs need more than one split
+    for field in dataclasses.fields(expected):
+        np.testing.assert_array_equal(getattr(tree, field.name), getattr(expected, field.name))
 
 
 def test_bagging_vote_fractions_sum_to_one():

@@ -132,6 +132,15 @@ def test_reduce_short_row_names_the_file_and_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_reduce_blank_header_names_the_file(tmp_path, capsys):
+    blank_header = tmp_path / "blank_header.csv"
+    blank_header.write_text("\na.wav,0,0,0.5,0.25\n")
+    assert main(["reduce", "--in", str(blank_header), "--method", "pca",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {blank_header}: header has 0 fields, expected at least 3 (source, speaker, frame)\n"
+
+
 def test_train_rejects_mistyped_parameter(embedding_csv, tmp_path, capsys):
     assert main(["train", "--in", str(embedding_csv), "--model", "knn",
                  "--params", "k=abc", "--out", str(tmp_path / "model.pkl")]) == 2
@@ -295,6 +304,8 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"extractors": [{"kind": "lpcc", "frame_ms": 60}]}, "extractor 'lpcc': frame_ms must lie in [10, 50]"),
         ({"extractors": [{"kind": "plp", "num_ceps": 20}]}, "extractor 'plp': num_ceps must lie in [12, 15]"),
         ({"extractors": [{"kind": "mfcc", "hop_ms": 40}]}, "extractor 'mfcc': hop_ms must satisfy"),
+        ({"classifiers": [{"name": "bagged trees", "resample": False}]},
+         "classifier 'bagged trees' takes no parameter resample"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
@@ -306,4 +317,20 @@ def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monke
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "manifest, message",
+    [
+        ("path,speaker\na.wav,0\n", "header must name the columns path,speaker,sample"),
+        ("path,speaker,sample\na.wav,0,0\nb.wav,0,x\n", "line 3: speaker and sample must be integers"),
+    ],
+)
+def test_bench_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
+    manifest_path = tmp_path / "manifest.csv"
+    manifest_path.write_text(manifest)
+    out = tmp_path / "out"
+    assert main(["bench", "--manifest", str(manifest_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {manifest_path}: {message}\n"
     assert not out.exists()
