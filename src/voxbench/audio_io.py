@@ -85,6 +85,8 @@ def load_wav(path) -> AudioSignal:
                     raise UnsupportedEncoding(f"{path}: expected mono, got {n_channels} channels")
                 if sample_width != 2 or comp_type != "NONE":
                     raise UnsupportedEncoding(f"{path}: expected 16-bit PCM")
+                if sample_rate < MIN_SAMPLE_RATE:
+                    raise UnsupportedEncoding(f"{path}: sample rate {sample_rate} Hz is below {MIN_SAMPLE_RATE} Hz")
                 if n_frames == 0:
                     raise EmptyAudio(f"{path}: zero data samples")
                 raw = wav.readframes(n_frames)
@@ -95,6 +97,8 @@ def load_wav(path) -> AudioSignal:
     except OSError as exc:
         raise UnreadableAudio(f"{path}: {exc.strerror or exc}") from exc
 
+    if len(raw) % 2:
+        raise UnreadableAudio(f"{path}: data ends inside a 16-bit sample ({len(raw)} bytes)")
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size == 0:
         raise EmptyAudio(f"{path}: zero data samples")

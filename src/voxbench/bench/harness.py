@@ -34,6 +34,7 @@ from .reports import (
     format_float,
     write_grid_table,
     write_report_json,
+    write_scaling_curve,
 )
 
 REDUCER_NAMES = ("sne", "pca")
@@ -101,12 +102,48 @@ class HarnessSettings:
 
 
 @dataclass(frozen=True)
+class ScalingCurve:
+    """Accuracy of one combination versus the number of speakers, run inside a sweep.
+
+    The combination is named by extractor kind, reducer method and classifier
+    name. It runs with the sweep grid's spec on each axis, or the default spec
+    where the grid has none. speaker_counts must be distinct integers >= 2 and
+    is kept sorted.
+    """
+
+    extractor: str = "mfcc"
+    reducer: str = "sne"
+    classifier: str = "weighted knn"
+    speaker_counts: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
+
+    def __post_init__(self):
+        for key, names in (
+            ("extractor", EXTRACTOR_KINDS),
+            ("reducer", REDUCER_NAMES),
+            ("classifier", CLASSIFIER_NAMES),
+        ):
+            if getattr(self, key) not in names:
+                raise ValueError(f"scaling_curve {key} must be one of {names}, got {getattr(self, key)!r}")
+        counts = self.speaker_counts
+        valid = isinstance(counts, (list, tuple)) and all(
+            isinstance(c, numbers.Integral) and c >= 2 for c in counts
+        )
+        if not counts or not valid or len(set(counts)) < len(counts):
+            raise ValueError(f"speaker_counts must be distinct integers >= 2, got {counts!r}")
+        object.__setattr__(self, "speaker_counts", tuple(sorted(counts)))
+
+
+@dataclass(frozen=True)
 class SweepGrid:
-    """Extractors x reducers x classifiers; each axis is keyed by kind, method and name."""
+    """Extractors x reducers x classifiers; each axis is keyed by kind, method and name.
+
+    An optional scaling curve runs after the grid, on the same frame tables.
+    """
 
     extractors: tuple[ExtractorConfig, ...]
     reducers: tuple[ReducerSpec, ...]
     classifiers: tuple[ClassifierSpec, ...]
+    scaling_curve: Optional[ScalingCurve] = None
 
     def __post_init__(self):
         # stage outputs and report cells are keyed by these, so a repeat would overwrite
@@ -239,8 +276,9 @@ def _evaluate_split(reduced, table, train_mask, classifier: ClassifierSpec, seed
 
 # --- stage graph ------------------------------------------------------------------
 
-def _failure(exc: PipelineError) -> str:
-    return f"{type(exc).__name__}: {exc}"
+def _failure(exc: PipelineError, where: Optional[str] = None) -> str:
+    """'Type: message', or 'Type: where: message' for an error that does not name its file."""
+    return f"{type(exc).__name__}: {exc}" if where is None else f"{type(exc).__name__}: {where}: {exc}"
 
 
 def _frame_tables(
@@ -250,7 +288,8 @@ def _frame_tables(
 
     Each recording is read and silence-trimmed once for all extractors. An
     extractor's reason is the first PipelineError its frames meet, in manifest
-    order; an error reading or trimming a recording fails every extractor still live.
+    order, and names the recording; an error reading or trimming a recording
+    fails every extractor still live.
     """
     blocks: dict[str, list[np.ndarray]] = {extractor.kind: [] for extractor in extractors}
     failures: dict[str, str] = {}
@@ -261,12 +300,14 @@ def _frame_tables(
             break
         try:
             signal = load_wav(manifest.resolve(entry))
+        except PipelineError as exc:  # its message names the file
+            failures.update((extractor.kind, _failure(exc)) for extractor in live)
+            continue
+        try:
             if sample_rate is None:
                 sample_rate = signal.sample_rate
             elif signal.sample_rate != sample_rate:
-                raise PipelineError(
-                    f"{entry.path}: sample rate {signal.sample_rate} differs from corpus {sample_rate}"
-                )
+                raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
             model = fit_silence_model(signal, u_threshold=settings.vad_u_threshold)
             with warnings.catch_warnings():
                 # speech-dense recordings trip the contamination warning by design
@@ -275,14 +316,14 @@ def _frame_tables(
                     signal, model, min_segment_ms=settings.vad_min_segment_ms
                 ).trimmed
         except PipelineError as exc:
-            failures.update((extractor.kind, _failure(exc)) for extractor in live)
+            failures.update((extractor.kind, _failure(exc, entry.path)) for extractor in live)
             continue
         for extractor in live:
             try:
                 values = extract(trimmed, extractor, max_frames=settings.max_frames_per_file).values
                 blocks[extractor.kind].append(values)
             except PipelineError as exc:
-                failures[extractor.kind] = _failure(exc)
+                failures[extractor.kind] = _failure(exc, entry.path)
     speaker_to_class = {sid: i for i, sid in enumerate(manifest.speaker_ids)}
     classes = [speaker_to_class[entry.speaker] for entry in manifest.entries]
     tables: dict[str, FrameTable] = {}
@@ -314,7 +355,11 @@ def _grid_entries(
     produce identical entries.
     """
     rotation = derive_seed(master_seed, "split")
-    masks = {kind: holdout_train_mask(manifest, table, rotation) for kind, table in tables.items()}
+    masks = {
+        extractor.kind: holdout_train_mask(manifest, tables[extractor.kind], rotation)
+        for extractor in grid.extractors
+        if extractor.kind in tables
+    }
 
     def embed(extractor: ExtractorConfig, reducer: ReducerSpec) -> tuple[Optional[np.ndarray], Optional[str]]:
         """The pair's reduced rows, or the reason its extraction or reduction failed."""
@@ -408,12 +453,22 @@ def run_sweep(
 
     jobs is the number of threads that run the embeddings; it must be an
     integer >= 1. Seeds derive from (master_seed, stage tag), so
-    serial and parallel sweeps produce identical reports.
+    serial and parallel sweeps produce identical reports. A grid's scaling
+    curve runs after the cells, on the same frame tables, and its result is
+    report["scaling_curve"].
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     grid = grid or default_grid()
-    tables, failures = _frame_tables(manifest, grid.extractors, settings)
+    extractors = grid.extractors
+    if grid.scaling_curve is not None:
+        if grid.scaling_curve.speaker_counts[-1] > len(manifest.speaker_ids):
+            raise ValueError("speaker_counts exceed the manifest's speaker count")
+        curve_grid = _curve_grid(grid)
+        if curve_grid.extractors[0] not in extractors:
+            extractors += curve_grid.extractors
+    tables, failures = _frame_tables(manifest, extractors, settings)
+    entries = _grid_entries(manifest, grid, tables, failures, master_seed, settings, jobs)
     report = {
         "master_seed": master_seed,
         "manifest": _manifest_metadata(manifest),
@@ -423,7 +478,7 @@ def run_sweep(
             "reducers": [dataclasses.asdict(r) for r in grid.reducers],
             "classifiers": [dataclasses.asdict(c) for c in grid.classifiers],
         },
-        "combinations": _grid_entries(manifest, grid, tables, failures, master_seed, settings, jobs),
+        "combinations": entries,
         "reference_results": {
             "note": REFERENCE_NOTE,
             "accuracy": REFERENCE_ACCURACY,
@@ -431,13 +486,17 @@ def run_sweep(
             "scaling": REFERENCE_SCALING,
         },
     }
+    if grid.scaling_curve is not None:
+        report["scaling_curve"] = _scaling_curve(
+            manifest, curve_grid, grid.scaling_curve.speaker_counts, tables, failures, entries, master_seed, settings
+        )
     if out_dir is not None:
         write_sweep_outputs(report, out_dir)
     return report
 
 
 def write_sweep_outputs(report: dict, out_dir) -> None:
-    """report.json plus the accuracy/distinguishable CSV mirrors per reducer."""
+    """report.json, the accuracy/distinguishable CSV mirrors per reducer, and the scaling curve's rows."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_json(report, out_dir / "report.json")
@@ -463,19 +522,72 @@ def write_sweep_outputs(report: dict, out_dir) -> None:
 
             write_grid_table(out_dir / f"{table}_{reducer}.csv", cell_of, classifiers, extractors)
 
+    if "rows" in report.get("scaling_curve", {}):
+        write_scaling_curve(out_dir / "scaling_curve.csv", report["scaling_curve"]["rows"])
+
 
 # --- speaker scaling curve ---------------------------------------------------------
 
-def check_speaker_counts(speaker_counts, speaker_total: int) -> list[int]:
-    """The counts sorted; ValueError unless distinct integers in [2, speaker_total]."""
-    counts = list(speaker_counts)
-    valid = all(isinstance(c, numbers.Integral) and c >= 2 for c in counts)
-    if not counts or not valid or len(set(counts)) < len(counts):
-        raise ValueError(f"speaker_counts must be distinct integers >= 2, got {counts}")
-    counts.sort()
-    if counts[-1] > speaker_total:
-        raise ValueError("speaker_counts exceed the manifest's speaker count")
-    return counts
+def _curve_grid(grid: SweepGrid) -> SweepGrid:
+    """The scaling curve's one-cell grid: the sweep grid's spec on each axis, or the default."""
+    curve = grid.scaling_curve
+
+    def spec(specs, key: str, value: str, default):
+        return next((s for s in specs if getattr(s, key) == value), None) or default(value)
+
+    return SweepGrid(
+        (spec(grid.extractors, "kind", curve.extractor, default_config),),
+        (spec(grid.reducers, "method", curve.reducer, ReducerSpec),),
+        (spec(grid.classifiers, "name", curve.classifier, ClassifierSpec),),
+    )
+
+
+def _scaling_curve(
+    manifest: CorpusManifest,
+    grid: SweepGrid,
+    speaker_counts: tuple[int, ...],
+    tables: dict[str, FrameTable],
+    failures: dict[str, str],
+    sweep_entries: list[dict],
+    master_seed: int,
+    settings: HarnessSettings,
+) -> dict:
+    """The one-cell grid's accuracy at each speaker count, or the first count's failure.
+
+    A count takes the rows of its first speakers from the sweep's frame table.
+    Train masks are per speaker and seeds per stage tag, so a row equals the
+    one-cell sweep of manifest.subset_speakers(count). The full roster takes
+    the sweep's own cell when the sweep grid holds the combination. Rows are
+    (speaker_count, accuracy_pct, delta_per_speaker); the delta is the
+    discrete rate of change from the previous row.
+    """
+    extractor, reducer, classifier = grid.extractors[0], grid.reducers[0], grid.classifiers[0]
+    key = (extractor.kind, reducer.method, classifier.name)
+    curve = {
+        "extractor": extractor.kind,
+        "reducer": reducer.method,
+        "classifier": classifier.name,
+        "speaker_counts": list(speaker_counts),
+    }
+    swept = {(e["extractor"], e["reducer"], e["classifier"]): e for e in sweep_entries}
+    rows: list[tuple[int, float, Optional[float]]] = []
+    for count in speaker_counts:
+        entry = swept.get(key) if count == len(manifest.speaker_ids) else None
+        if entry is None:
+            table = tables.get(extractor.kind)
+            subset = {} if table is None else {extractor.kind: table.first_speakers(count)}
+            entry = _grid_entries(manifest, grid, subset, failures, master_seed, settings)[0]
+        if entry["status"] != "ok":
+            curve["failure_reason"] = f"{count}-speaker run failed: {entry['failure_reason']}"
+            return curve
+        accuracy = entry["frame_accuracy_pct"]
+        delta = None
+        if rows:
+            prev_count, prev_acc, _ = rows[-1]
+            delta = (accuracy - prev_acc) / (count - prev_count)
+        rows.append((count, accuracy, delta))
+    curve["rows"] = rows
+    return curve
 
 
 def speaker_scaling_curve(
@@ -491,30 +603,18 @@ def speaker_scaling_curve(
 
     Returns (speaker_count, accuracy_pct, delta_per_speaker) rows; the delta
     column is the discrete rate of change between consecutive rows.
-    speaker_counts must be distinct integers >= 2.
-
-    Each recording of the largest count is extracted once; a count takes the
-    rows of its first speakers. Features are computed per recording and each
-    speaker's held-out recording depends only on its own entries, so a row
-    equals the one-cell sweep of manifest.subset_speakers(count).
+    speaker_counts must be distinct integers >= 2. This is the one-cell sweep
+    of manifest.subset_speakers(max(speaker_counts)) with that scaling curve,
+    so each row equals the one-cell sweep of that many speakers. A failed
+    count raises PipelineError.
     """
-    counts = check_speaker_counts(speaker_counts, len(manifest.speaker_ids))
-    manifest = manifest.subset_speakers(counts[-1])
-    grid = SweepGrid((extractor,), (reducer,), (classifier,))
-    tables, failures = _frame_tables(manifest, grid.extractors, settings)
-    rows: list[tuple[int, float, Optional[float]]] = []
-    for count in counts:
-        subset = {kind: table.first_speakers(count) for kind, table in tables.items()}
-        entry = _grid_entries(manifest, grid, subset, failures, master_seed, settings)[0]
-        if entry["status"] != "ok":
-            raise PipelineError(f"{count}-speaker run failed: {entry['failure_reason']}")
-        accuracy = entry["frame_accuracy_pct"]
-        delta = None
-        if rows:
-            prev_count, prev_acc, _ = rows[-1]
-            delta = (accuracy - prev_acc) / (count - prev_count)
-        rows.append((count, accuracy, delta))
-    return rows
+    curve = ScalingCurve(extractor.kind, reducer.method, classifier.name, speaker_counts)
+    grid = SweepGrid((extractor,), (reducer,), (classifier,), curve)
+    subset = manifest.subset_speakers(curve.speaker_counts[-1])
+    result = run_sweep(subset, grid, master_seed, settings)["scaling_curve"]
+    if "failure_reason" in result:
+        raise PipelineError(result["failure_reason"])
+    return result["rows"]
 
 
 __all__ = [
@@ -522,8 +622,8 @@ __all__ = [
     "FrameTable",
     "HarnessSettings",
     "ReducerSpec",
+    "ScalingCurve",
     "SweepGrid",
-    "check_speaker_counts",
     "confusion_matrix",
     "default_grid",
     "holdout_train_mask",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import pickle
 import sys
@@ -17,23 +18,17 @@ from .bench import (
     ClassifierSpec,
     HarnessSettings,
     ReducerSpec,
+    ScalingCurve,
     SweepGrid,
     generate_synthetic_corpus,
     load_manifest,
     load_report_json,
     roc_auc,
     run_sweep,
-    speaker_scaling_curve,
     write_roc_csv,
 )
-from .bench.harness import (
-    DEFAULT_MAX_FRAMES_PER_FILE,
-    DEFAULT_RECALL_THRESHOLD,
-    REDUCER_NAMES,
-    check_speaker_counts,
-    default_grid,
-)
-from .bench.reports import format_float, write_scaling_curve
+from .bench.harness import DEFAULT_MAX_FRAMES_PER_FILE, DEFAULT_RECALL_THRESHOLD, REDUCER_NAMES, default_grid
+from .bench.reports import format_float
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError
 from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config, extract
@@ -42,8 +37,6 @@ from .reduction import SNE_KERNELS, SneConfig, pca_fit, pca_transform, sne_fit
 
 MODEL_FORMAT = "voxbench-model"
 MODEL_FORMAT_VERSION = 1
-
-SCALING_CURVE_KEYS = ("extractor", "reducer", "classifier", "speaker_counts")
 
 MODEL_ALIASES = {
     "knn": "weighted knn",
@@ -303,19 +296,19 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
     curve = raw.get("scaling_curve") or {}
     if not isinstance(curve, dict):
         raise ValueError("grid 'scaling_curve' must be an object")
-    unknown = sorted(set(curve) - set(SCALING_CURVE_KEYS))
+    curve_keys = [f.name for f in dataclasses.fields(ScalingCurve)]
+    unknown = sorted(set(curve) - set(curve_keys))
     if unknown:
-        raise ValueError(
-            f"grid 'scaling_curve' takes no key {', '.join(unknown)}; it takes {', '.join(SCALING_CURVE_KEYS)}"
-        )
+        raise ValueError(f"grid 'scaling_curve' takes no key {', '.join(unknown)}; it takes {', '.join(curve_keys)}")
     default = default_grid()
     grid = SweepGrid(
         extractors=_grid_specs(raw, "extractors", "kind", _extractor_spec) or default.extractors,
         reducers=_grid_specs(raw, "reducers", "method", lambda method, rest: ReducerSpec(method, **rest))
         or default.reducers,
         classifiers=_grid_specs(raw, "classifiers", "name", ClassifierSpec) or default.classifiers,
+        scaling_curve=ScalingCurve(**curve) if curve else None,
     )
-    extras = {k: raw[k] for k in ("max_frames_per_file", "recall_threshold", "scaling_curve") if k in raw}
+    extras = {k: raw[k] for k in ("max_frames_per_file", "recall_threshold") if k in raw}
     return grid, extras
 
 
@@ -329,17 +322,6 @@ def cmd_bench(args) -> int:
         max_frames_per_file=extras.get("max_frames_per_file", args.max_frames_per_file),
         recall_threshold=extras.get("recall_threshold", args.recall_threshold),
     )
-    # the scaling-curve spec is checked before the sweep, so a bad one costs no work
-    curve_spec = extras.get("scaling_curve")
-    if curve_spec:
-        curve_combo = (
-            default_config(curve_spec.get("extractor", "mfcc")),
-            ReducerSpec(curve_spec.get("reducer", "sne")),
-            ClassifierSpec(curve_spec.get("classifier", "weighted knn")),
-        )
-        speaker_counts = check_speaker_counts(
-            curve_spec.get("speaker_counts", [2, 3, 4, 5, 6, 7]), len(manifest.speaker_ids)
-        )
     report = run_sweep(
         manifest,
         grid=grid,
@@ -350,16 +332,10 @@ def cmd_bench(args) -> int:
     )
     ok = sum(1 for e in report["combinations"] if e["status"] == "ok")
     print(f"{ok}/{len(report['combinations'])} combinations succeeded; report under {args.out_dir}")
-
-    if curve_spec:
-        rows = speaker_scaling_curve(
-            manifest,
-            *curve_combo,
-            speaker_counts=speaker_counts,
-            master_seed=args.seed,
-            settings=settings,
-        )
-        write_scaling_curve(Path(args.out_dir) / "scaling_curve.csv", rows)
+    curve = report.get("scaling_curve")
+    if curve is not None:
+        if "failure_reason" in curve:
+            raise PipelineError(curve["failure_reason"])
         print("scaling curve written to scaling_curve.csv")
     return 0
 

@@ -88,14 +88,32 @@ def truncated_fmt_wav(directory):
     return path
 
 
+def odd_length_wav(directory):
+    path = directory / "odd.wav"
+    write_pcm16(path, np.arange(100))
+    path.write_bytes(path.read_bytes()[:-1])  # cut inside the last sample
+    return path
+
+
 @pytest.mark.parametrize(
     "make_path",
-    [lambda d: d / "missing.wav", lambda d: d, truncated_fmt_wav],
-    ids=["missing", "directory", "truncated-fmt"],
+    [lambda d: d / "missing.wav", lambda d: d, truncated_fmt_wav, odd_length_wav],
+    ids=["missing", "directory", "truncated-fmt", "odd-length-data"],
 )
 def test_load_wav_unreadable_names_the_file(tmp_path, make_path):
     path = make_path(tmp_path)
     with pytest.raises(UnreadableAudio, match=re.escape(str(path))):
+        load_wav(path)
+
+
+@pytest.mark.parametrize("rate", [0, 1, 4000, 7999])
+def test_load_wav_rejects_low_sample_rate_naming_the_file(tmp_path, rate):
+    path = tmp_path / "slow.wav"
+    write_pcm16(path, np.arange(100))
+    raw = bytearray(path.read_bytes())
+    raw[24:28] = struct.pack("<I", rate)  # the fmt chunk's sample-rate field
+    path.write_bytes(bytes(raw))
+    with pytest.raises(UnsupportedEncoding, match=rf"{re.escape(str(path))}: sample rate {rate} Hz"):
         load_wav(path)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxbench.audio_io import load_wav
+from voxbench.audio_io import AudioSignal, load_wav, write_wav
 from voxbench.bench import harness
 from voxbench.bench import (
     ClassifierSpec,
@@ -488,7 +488,7 @@ def test_fft_shorter_than_frame_fails_only_its_extractor(small_corpus, tmp_path)
         if entry["extractor"] == "mfcc":
             assert entry["status"] == "failed"
             assert entry["failure_reason"].startswith(
-                "FrameExceedsFft: fft_size must be >= the frame length in samples"
+                f"FrameExceedsFft: {small_corpus.entries[0].path}: fft_size must be >= the frame length in samples"
             )
         else:
             assert entry["status"] == "ok"
@@ -508,6 +508,16 @@ def test_missing_wav_fails_its_cells_not_the_sweep(small_corpus, tmp_path):
         assert missing in entry["failure_reason"]
     names = {p.name for p in out.iterdir()}
     assert names == {"report.json", "accuracy_pca.csv", "distinguishable_pca.csv"}
+
+
+def test_vad_failure_names_the_recording(small_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus.root, corpus)
+    silent = small_corpus.entries[2].path
+    write_wav(corpus / silent, AudioSignal(samples=np.zeros(16000), sample_rate=16000))
+    manifest = load_manifest(corpus / "manifest.csv")
+    _, failures = harness._frame_tables(manifest, mini_grid().extractors, FAST)
+    assert failures == {"mfcc": f"DegenerateSilence: {silent}: leading 200 ms is constant; cannot model silence"}
 
 
 def test_extractor_failure_is_the_first_error_its_frames_meet(small_corpus, tmp_path, monkeypatch):

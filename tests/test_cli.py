@@ -1,12 +1,23 @@
+import contextlib
 import csv
+import io
 import json
 import pickle
+import shutil
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from voxbench.audio_io import AudioSignal, write_wav
+from voxbench.bench import ClassifierSpec, HarnessSettings, ReducerSpec, harness, speaker_scaling_curve
+from voxbench.bench.reports import write_scaling_curve
 from voxbench.cli import main
+from voxbench.errors import PipelineError
+from voxbench.features import default_config
 
 
 @pytest.fixture(scope="module")
@@ -334,3 +345,150 @@ def test_bench_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
     assert main(["bench", "--manifest", str(manifest_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {manifest_path}: {message}\n"
     assert not out.exists()
+
+
+# --- the scaling curve inside bench ---------------------------------------------------
+
+def run_bench(corpus_root, grid, tmp_path, seed=0):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(grid))
+    out = tmp_path / "out"
+    code = main(["bench", "--manifest", str(corpus_root / "manifest.csv"), "--grid", str(grid_path),
+                 "--out", str(out), "--seed", str(seed)])
+    return code, out
+
+
+def test_bench_curve_runs_on_the_sweeps_stage_outputs(small_corpus, tmp_path, monkeypatch):
+    calls = {"load_wav": [], "extract": [], "reduce_for_pipeline": []}
+
+    def record(name, argument):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name].append(argument(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, wrapper)
+
+    record("load_wav", lambda path: path)
+    record("extract", lambda signal, config: config.frame_ms)
+    record("reduce_for_pipeline", lambda features, mask, method: len(features))
+    grid = {
+        "extractors": [{"kind": "mfcc", "frame_ms": 20}],
+        "reducers": [{"method": "pca"}],
+        "classifiers": [{"name": "weighted knn", "k": 3}],
+        "max_frames_per_file": 10,
+        "scaling_curve": {"reducer": "pca", "speaker_counts": [2, 3]},
+    }
+    code, out = run_bench(small_corpus.root, grid, tmp_path)
+    assert code == 0
+    assert sorted(calls["load_wav"]) == sorted(small_corpus.resolve(e) for e in small_corpus.entries)
+    assert set(calls["extract"]) == {20}  # the grid's mfcc, not the default 25 ms one
+    assert calls["reduce_for_pipeline"] == [60, 40]  # 3 speakers x 2 recordings x 10 frames, then 2 speakers
+    assert [row[0] for row in read_csv(out / "scaling_curve.csv")[1:]] == ["2", "3"]
+
+
+CURVE_GRIDS = {
+    "in-grid": {"extractors": [{"kind": "mfcc"}], "reducers": [{"method": "sne"}],
+                "classifiers": [{"name": "weighted knn"}]},
+    "outside-grid": {"extractors": [{"kind": "lpcc"}], "reducers": [{"method": "pca"}],
+                     "classifiers": [{"name": "complex tree"}]},
+}
+
+
+@pytest.mark.parametrize(
+    "grid_name, counts", [("in-grid", [2]), ("in-grid", [2, 3]), ("outside-grid", [2, 3])]
+)
+def test_bench_curve_csv_equals_the_library_curve(small_corpus, tmp_path, grid_name, counts):
+    grid = dict(CURVE_GRIDS[grid_name], max_frames_per_file=10, scaling_curve={"speaker_counts": counts})
+    code, out = run_bench(small_corpus.root, grid, tmp_path, seed=5)
+    assert code == 0
+    rows = speaker_scaling_curve(
+        small_corpus,
+        default_config("mfcc"),
+        ReducerSpec("sne"),
+        ClassifierSpec("weighted knn"),
+        counts,
+        master_seed=5,
+        settings=HarnessSettings(max_frames_per_file=10),
+    )
+    write_scaling_curve(tmp_path / "expected.csv", rows)
+    assert (out / "scaling_curve.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    report = json.loads((out / "report.json").read_text())
+    assert report["scaling_curve"]["speaker_counts"] == counts
+    assert [row[0] for row in report["scaling_curve"]["rows"]] == counts
+    assert len(report["combinations"]) == 1
+
+
+def test_bench_failed_curve_writes_the_report_and_exits_2(small_corpus, tmp_path, capsys):
+    # k = 25 fits the full roster's 30 training frames but not two speakers' 20
+    knn = ClassifierSpec("weighted knn", {"k": 25})
+    grid = {
+        "extractors": [{"kind": "mfcc"}],
+        "reducers": [{"method": "pca"}],
+        "classifiers": [{"name": knn.name, **knn.params}],
+        "max_frames_per_file": 10,
+        "scaling_curve": {"reducer": "pca", "speaker_counts": [2, 3]},
+    }
+    code, out = run_bench(small_corpus.root, grid, tmp_path)
+    assert code == 2
+    with pytest.raises(PipelineError) as raised:
+        speaker_scaling_curve(small_corpus, default_config("mfcc"), ReducerSpec("pca"), knn, [2, 3],
+                              settings=HarnessSettings(max_frames_per_file=10))
+    assert str(raised.value) == "2-speaker run failed: KTooLarge: k=25 exceeds 20 training points"
+    assert capsys.readouterr().err == f"error: PipelineError: {raised.value}\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["combinations"][0]["status"] == "ok"
+    assert report["scaling_curve"]["failure_reason"] == str(raised.value)
+    assert "rows" not in report["scaling_curve"]
+    assert not (out / "scaling_curve.csv").exists()
+
+
+# --- a corrupted recording -------------------------------------------------------------
+
+WAV_BYTES = 44 + 2 * 24000  # a small_corpus recording: 1.5 s of 16-bit samples at 16 kHz
+# offset and struct format of each field of the fmt chunk that the wave writer emits
+FMT_FIELDS = {20: "<H", 22: "<H", 24: "<I", 28: "<I", 32: "<H", 34: "<H"}
+ONE_CELL_GRID = {
+    "extractors": [{"kind": "mfcc"}],
+    "reducers": [{"method": "pca"}],
+    "classifiers": [{"name": "weighted knn", "k": 3}],
+    "max_frames_per_file": 10,
+}
+
+
+def _field_edit(offset):
+    fmt = FMT_FIELDS[offset]
+    return st.tuples(st.just(offset), st.just(fmt), st.integers(0, 2 ** (8 * struct.calcsize(fmt)) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    victim=st.integers(0, 5),
+    corruption=st.one_of(st.integers(0, WAV_BYTES), st.sampled_from(sorted(FMT_FIELDS)).flatmap(_field_edit)),
+)
+def test_bench_on_a_corrupted_recording_reports_or_fails_cleanly(small_corpus, victim, corruption):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(small_corpus.root, corpus)
+        wav = corpus / small_corpus.entries[victim].path
+        raw = bytearray(wav.read_bytes())
+        if isinstance(corruption, int):  # truncate at that byte
+            del raw[corruption:]
+        else:
+            offset, fmt, value = corruption
+            struct.pack_into(fmt, raw, offset, value)
+        wav.write_bytes(bytes(raw))
+        grid = Path(tmp) / "grid.json"
+        grid.write_text(json.dumps(ONE_CELL_GRID))
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["bench", "--manifest", str(corpus / "manifest.csv"), "--grid", str(grid),
+                         "--out", str(out)])
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        if code == 0:
+            assert (out / "report.json").exists() and not errors
+        else:  # a sweep-wide error must at least say which recording is at fault
+            assert code == 2 and len(errors) == 1, stderr.getvalue()
+            assert small_corpus.entries[victim].path in errors[0]
