@@ -12,7 +12,6 @@ from .errors import EmptyAudio, NotWav, SignalTooShort, UnreadableAudio, Unsuppo
 
 PCM_SCALE = 32768.0  # int16 full scale
 MIN_SAMPLE_RATE = 8000  # speech-band floor
-MAX_OVERLAP = 0.8
 
 
 @dataclass(frozen=True)
@@ -36,10 +35,6 @@ class AudioSignal:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration_seconds(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class FrameMatrix:
@@ -48,12 +43,11 @@ class FrameMatrix:
     frames: np.ndarray
     frame_length_samples: int
     hop_samples: int
-    sample_rate: int
 
     def __post_init__(self):
         if not 0 < self.hop_samples <= self.frame_length_samples:
             raise ValueError("hop must satisfy 0 < hop <= frame_length")
-        # overlap = 1 - hop/frame must stay within [0, MAX_OVERLAP]
+        # overlap = 1 - hop/frame must stay within [0, 0.8]
         if self.hop_samples * 5 < self.frame_length_samples:
             raise ValueError("frame overlap above 80% is not supported")
 
@@ -116,12 +110,12 @@ def write_wav(path, signal: AudioSignal) -> None:
 
 
 def check_frame_timing(frame_ms: float, hop_ms: float) -> None:
-    """Raise ValueError unless frame_ms lies in [10, 50] and hop_ms in (0, frame_ms] within MAX_OVERLAP."""
+    """Raise ValueError unless frame_ms lies in [10, 50] and hop_ms in (0, frame_ms], overlapping at most 80%."""
     if not 10.0 <= frame_ms <= 50.0:
         raise ValueError("frame_ms must lie in [10, 50]")
     if not 0 < hop_ms <= frame_ms:
         raise ValueError("hop_ms must satisfy 0 < hop_ms <= frame_ms")
-    if hop_ms * 5 < frame_ms:  # overlap = 1 - hop/frame above MAX_OVERLAP
+    if hop_ms * 5 < frame_ms:  # overlap = 1 - hop/frame above 0.8
         raise ValueError("frame overlap above 80% is not supported")
 
 
@@ -136,12 +130,7 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameMa
         )
     windows = np.lib.stride_tricks.sliding_window_view(signal.samples, frame_length)
     frames = windows[::hop].copy()
-    return FrameMatrix(
-        frames=frames,
-        frame_length_samples=frame_length,
-        hop_samples=hop,
-        sample_rate=signal.sample_rate,
-    )
+    return FrameMatrix(frames=frames, frame_length_samples=frame_length, hop_samples=hop)
 
 
 def hamming_window(frame_length: int) -> np.ndarray:

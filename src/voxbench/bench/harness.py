@@ -21,10 +21,10 @@ import numpy as np
 
 from ..audio_io import load_wav
 from ..classifiers import CLASSIFIER_NAMES, LabeledDataset, check_classifier, predict, train_by_name
-from ..errors import PipelineError, UndefinedRoc, check_like_default
+from ..errors import PipelineError, UndefinedRoc, check_fields_like_defaults
 from ..features import EXTRACTOR_KINDS, ExtractorConfig, check_frame_cap, default_config, extract
-from ..preprocessing import fit_silence_model, remove_silence
-from ..reduction import DEFAULT_LEARNING_RATE, SneConfig, reduce_for_pipeline
+from ..preprocessing import DEFAULT_MIN_SEGMENT_MS, DEFAULT_U_THRESHOLD, fit_silence_model, remove_silence
+from ..reduction import SneConfig, reduce_for_pipeline
 from .corpus import CorpusManifest, derive_seed
 from .reports import (
     REFERENCE_ACCURACY,
@@ -44,20 +44,19 @@ DEFAULT_RECALL_THRESHOLD = 0.5
 
 @dataclass(frozen=True)
 class ReducerSpec:
-    """Reduction method plus its knobs; name defaults to the method."""
+    """Reduction method plus its knobs, defaulting to SneConfig's; name defaults to the method."""
 
     method: str
-    target_dim: int = 2
-    perplexity: Optional[float] = None
-    max_iter: int = 500
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    kernel: str = "gaussian"
+    target_dim: int = SneConfig.target_dim
+    perplexity: Optional[float] = SneConfig.perplexity
+    max_iter: int = SneConfig.max_iter
+    learning_rate: float = SneConfig.learning_rate
+    kernel: str = SneConfig.kernel
 
     def __post_init__(self):
         if self.method not in REDUCER_NAMES:
             raise ValueError(f"method must be one of {REDUCER_NAMES}")
-        for knob in dataclasses.fields(self)[1:]:
-            check_like_default(f"reducer {self.method!r} {knob.name}", getattr(self, knob.name), knob.default)
+        check_fields_like_defaults(self, prefix=f"reducer {self.method!r} ")
         try:
             self.sne_config(seed=0)  # the range checks of SneConfig
         except ValueError as exc:
@@ -91,8 +90,6 @@ class HarnessSettings:
 
     max_frames_per_file: Optional[int] = DEFAULT_MAX_FRAMES_PER_FILE
     recall_threshold: float = DEFAULT_RECALL_THRESHOLD
-    vad_u_threshold: float = 3.0
-    vad_min_segment_ms: float = 50.0
 
     def __post_init__(self):
         check_frame_cap(self.max_frames_per_file, "max_frames_per_file")
@@ -308,13 +305,11 @@ def _frame_tables(
                 sample_rate = signal.sample_rate
             elif signal.sample_rate != sample_rate:
                 raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
-            model = fit_silence_model(signal, u_threshold=settings.vad_u_threshold)
+            model = fit_silence_model(signal)
             with warnings.catch_warnings():
                 # speech-dense recordings trip the contamination warning by design
                 warnings.simplefilter("ignore")
-                trimmed = remove_silence(
-                    signal, model, min_segment_ms=settings.vad_min_segment_ms
-                ).trimmed
+                trimmed = remove_silence(signal, model).trimmed
         except PipelineError as exc:
             failures.update((extractor.kind, _failure(exc, entry.path)) for extractor in live)
             continue
@@ -472,7 +467,12 @@ def run_sweep(
     report = {
         "master_seed": master_seed,
         "manifest": _manifest_metadata(manifest),
-        "settings": dataclasses.asdict(settings),
+        # the VAD thresholds every sweep runs with, reported beside the settings
+        "settings": {
+            **dataclasses.asdict(settings),
+            "vad_u_threshold": DEFAULT_U_THRESHOLD,
+            "vad_min_segment_ms": DEFAULT_MIN_SEGMENT_MS,
+        },
         "grid": {
             "extractors": [dataclasses.asdict(e) for e in grid.extractors],
             "reducers": [dataclasses.asdict(r) for r in grid.reducers],

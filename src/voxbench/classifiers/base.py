@@ -81,6 +81,11 @@ class TrainedClassifier:
     class_count: int
     input_dim: int
 
+    @classmethod
+    def fitted(cls, kind: str, payload, data: LabeledDataset) -> "TrainedClassifier":
+        """The model of payload, trained on data: its class count and column count."""
+        return cls(kind=kind, payload=payload, class_count=data.class_count, input_dim=data.points.shape[1])
+
 
 def predict(model: TrainedClassifier, points) -> tuple[np.ndarray, np.ndarray]:
     """Labels and per-class score rows for a matrix of query points.

@@ -98,9 +98,4 @@ def ffnn_train(
                 raise NonFiniteLoss(f"loss became {loss}")
             for weight, grad in zip((net.w1, net.b1, net.w2, net.b2, net.w3, net.b3), grads):
                 weight -= lr * grad
-    return TrainedClassifier(
-        kind="feed forward",
-        payload=net,
-        class_count=data.class_count,
-        input_dim=x.shape[1],
-    )
+    return TrainedClassifier.fitted("feed forward", net, data)

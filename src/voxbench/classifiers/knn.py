@@ -36,15 +36,5 @@ def knn_train(data: LabeledDataset, k: int = 10) -> TrainedClassifier:
     train = data.train_points
     if k > train.shape[0]:
         raise KTooLarge(f"k={k} exceeds {train.shape[0]} training points")
-    payload = WeightedKnnModel(
-        points=train,
-        labels=data.train_labels,
-        k=k,
-        class_count=data.class_count,
-    )
-    return TrainedClassifier(
-        kind="weighted knn",
-        payload=payload,
-        class_count=data.class_count,
-        input_dim=train.shape[1],
-    )
+    payload = WeightedKnnModel(points=train, labels=data.train_labels, k=k, class_count=data.class_count)
+    return TrainedClassifier.fitted("weighted knn", payload, data)

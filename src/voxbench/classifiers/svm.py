@@ -15,7 +15,7 @@ from .base import LabeledDataset, TrainedClassifier, squared_distances
 
 KKT_TOLERANCE = 1e-3
 MIN_ALPHA_STEP = 1e-10
-DEFAULT_MAX_PASSES = 300
+MAX_PASSES = 300
 MARGIN_TIEBREAK = 1e-3  # well below one vote; orders equal-vote classes only
 
 
@@ -39,8 +39,8 @@ class BinarySvm:
         return k @ (self.alphas * self.targets) + self.bias
 
 
-def _smo(x, t, box_c, scale, tol=KKT_TOLERANCE, max_passes=DEFAULT_MAX_PASSES) -> BinarySvm:
-    """Pairwise coordinate ascent on the dual until KKT holds within tol.
+def _smo(x, t, box_c, scale) -> BinarySvm:
+    """Pairwise coordinate ascent on the dual until KKT holds within KKT_TOLERANCE.
 
     Deterministic: the first index sweeps in order, the partner maximizes
     |E_i - E_j|.
@@ -51,11 +51,11 @@ def _smo(x, t, box_c, scale, tol=KKT_TOLERANCE, max_passes=DEFAULT_MAX_PASSES) -
     bias = 0.0
     errors = -t.astype(np.float64)  # decision(x) - t with all-zero alphas
 
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         changed = 0
         for i in range(n):
             r = errors[i] * t[i]
-            if not ((r < -tol and alphas[i] < box_c) or (r > tol and alphas[i] > 0)):
+            if not ((r < -KKT_TOLERANCE and alphas[i] < box_c) or (r > KKT_TOLERANCE and alphas[i] > 0)):
                 continue
             gap = np.abs(errors[i] - errors)
             gap[i] = -1.0
@@ -103,7 +103,7 @@ def _smo(x, t, box_c, scale, tol=KKT_TOLERANCE, max_passes=DEFAULT_MAX_PASSES) -
                 points=x, targets=t, alphas=alphas, bias=bias,
                 kernel_scale=scale, box_c=box_c,
             )
-    raise NoConvergence(f"SMO did not reach KKT tolerance in {max_passes} passes")
+    raise NoConvergence(f"SMO did not reach KKT tolerance in {MAX_PASSES} passes")
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,7 @@ class SvmModel:
         return votes + MARGIN_TIEBREAK * np.tanh(margins / max(1, self.class_count - 1))
 
 
-def svm_train(
-    data: LabeledDataset,
-    kernel_scale: float | None = None,
-    box_c: float = 1.0,
-    tol: float = KKT_TOLERANCE,
-    max_passes: int = DEFAULT_MAX_PASSES,
-) -> TrainedClassifier:
+def svm_train(data: LabeledDataset, kernel_scale: float | None = None, box_c: float = 1.0) -> TrainedClassifier:
     """One-vs-one Gaussian-kernel SVMs; scale defaults to sqrt(d)/4 ("fine")."""
     if data.class_count < 2:
         raise ValueError("need at least two classes")
@@ -142,10 +136,5 @@ def svm_train(
         for b in range(a + 1, data.class_count):
             rows = (y == a) | (y == b)
             targets = np.where(y[rows] == b, 1.0, -1.0)
-            problems.append((a, b, _smo(x[rows], targets, box_c, kernel_scale, tol, max_passes)))
-    return TrainedClassifier(
-        kind="fine svm",
-        payload=SvmModel(problems=problems, class_count=data.class_count),
-        class_count=data.class_count,
-        input_dim=x.shape[1],
-    )
+            problems.append((a, b, _smo(x[rows], targets, box_c, kernel_scale)))
+    return TrainedClassifier.fitted("fine svm", SvmModel(problems=problems, class_count=data.class_count), data)

@@ -116,13 +116,8 @@ def grow_tree(x, y, class_count, max_splits, min_leaf) -> DecisionTreeModel:
 def tree_train(data: LabeledDataset, max_splits: int = 100, min_leaf: int = 1) -> TrainedClassifier:
     """Binary CART with axis-aligned splits; leaves predict their majority class."""
     check_counts({"min_leaf": min_leaf})
-    x, y = data.train_points, data.train_labels
-    return TrainedClassifier(
-        kind="complex tree",
-        payload=grow_tree(x, y, data.class_count, max_splits, min_leaf),
-        class_count=data.class_count,
-        input_dim=x.shape[1],
-    )
+    tree = grow_tree(data.train_points, data.train_labels, data.class_count, max_splits, min_leaf)
+    return TrainedClassifier.fitted("complex tree", tree, data)
 
 
 @dataclass(frozen=True)
@@ -152,9 +147,5 @@ def bagged_trees_train(
     for _ in range(n_trees):
         idx = rng.integers(0, y.size, y.size)
         trees.append(grow_tree(x[idx], y[idx], data.class_count, max_splits, min_leaf))
-    return TrainedClassifier(
-        kind="bagged trees",
-        payload=BaggedTreesModel(trees=trees, class_count=data.class_count),
-        class_count=data.class_count,
-        input_dim=x.shape[1],
-    )
+    payload = BaggedTreesModel(trees=trees, class_count=data.class_count)
+    return TrainedClassifier.fitted("bagged trees", payload, data)

@@ -32,7 +32,13 @@ from .bench.reports import format_float
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError
 from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config, extract
-from .preprocessing import fit_silence_model, remove_silence
+from .preprocessing import (
+    DEFAULT_BLOCK_MS,
+    DEFAULT_MIN_SEGMENT_MS,
+    DEFAULT_U_THRESHOLD,
+    fit_silence_model,
+    remove_silence,
+)
 from .reduction import SNE_KERNELS, SneConfig, pca_fit, pca_transform, sne_fit
 
 MODEL_FORMAT = "voxbench-model"
@@ -136,22 +142,9 @@ def cmd_vad(args) -> int:
 
 
 def _extractor_config_from_args(args) -> ExtractorConfig:
-    overrides = {}
-    for attr, key in (
-        ("pre_emphasis", "pre_emphasis_a"),
-        ("frame_ms", "frame_ms"),
-        ("hop_ms", "hop_ms"),
-        ("fft_size", "fft_size"),
-        ("filter_count", "filter_count"),
-        ("lpc_order", "lpc_order_q"),
-        ("num_ceps", "num_ceps"),
-        ("dct", "dct_kind"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[key] = value
-    if args.include_c0:
-        overrides["include_c0"] = True
+    """default_config(args.method) with each ExtractorConfig field that a flag set."""
+    fields = (knob.name for knob in dataclasses.fields(ExtractorConfig)[1:])
+    overrides = {name: getattr(args, name) for name in fields if getattr(args, name) is not None}
     return default_config(args.method, **overrides)
 
 
@@ -293,7 +286,8 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: a grid file must hold one JSON object")
-    curve = raw.get("scaling_curve") or {}
+    # a present key always asks for a curve; {} is the default one
+    curve = raw.get("scaling_curve", {})
     if not isinstance(curve, dict):
         raise ValueError("grid 'scaling_curve' must be an object")
     curve_keys = [f.name for f in dataclasses.fields(ScalingCurve)]
@@ -306,7 +300,7 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
         reducers=_grid_specs(raw, "reducers", "method", lambda method, rest: ReducerSpec(method, **rest))
         or default.reducers,
         classifiers=_grid_specs(raw, "classifiers", "name", ClassifierSpec) or default.classifiers,
-        scaling_curve=ScalingCurve(**curve) if curve else None,
+        scaling_curve=ScalingCurve(**curve) if "scaling_curve" in raw else None,
     )
     extras = {k: raw[k] for k in ("max_frames_per_file", "recall_threshold") if k in raw}
     return grid, extras
@@ -381,9 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vad", help="remove silence from a recording")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", dest="out_path", required=True)
-    p.add_argument("--threshold", type=float, default=3.0, help="cutoff in sigma multiples")
-    p.add_argument("--block-ms", type=float, default=10.0)
-    p.add_argument("--min-segment-ms", type=float, default=50.0)
+    p.add_argument("--threshold", type=float, default=DEFAULT_U_THRESHOLD, help="cutoff in sigma multiples")
+    p.add_argument("--block-ms", type=float, default=DEFAULT_BLOCK_MS)
+    p.add_argument("--min-segment-ms", type=float, default=DEFAULT_MIN_SEGMENT_MS)
     p.add_argument("--endpoints-only", action="store_true")
     p.add_argument("--report", help="write segment boundaries as JSON")
     p.set_defaults(handler=cmd_vad)
@@ -393,24 +387,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=EXTRACTOR_KINDS, required=True)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--no-vad", action="store_true", help="skip silence removal")
-    p.add_argument("--pre-emphasis", type=float)
+    # each dest is an ExtractorConfig field name
+    p.add_argument("--pre-emphasis", dest="pre_emphasis_a", type=float)
     p.add_argument("--frame-ms", type=float)
     p.add_argument("--hop-ms", type=float)
     p.add_argument("--fft-size", type=int)
     p.add_argument("--filter-count", type=int)
-    p.add_argument("--lpc-order", type=int)
+    p.add_argument("--lpc-order", dest="lpc_order_q", type=int)
     p.add_argument("--num-ceps", type=int)
-    p.add_argument("--dct", choices=("dct2", "idct"))
+    p.add_argument("--dct", dest="dct_kind", choices=("dct2", "idct"))
     p.add_argument("--include-c0", action="store_true", help="keep the log-energy coefficient")
     p.set_defaults(handler=cmd_extract)
 
     p = sub.add_parser("reduce", help="reduce a feature csv to a low-dimensional embedding")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--method", choices=REDUCER_NAMES, required=True)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=SneConfig.target_dim)
     p.add_argument("--perplexity", type=float)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--kernel", choices=SNE_KERNELS, default="gaussian")
+    p.add_argument("--max-iter", type=int, default=SneConfig.max_iter)
+    p.add_argument("--kernel", choices=SNE_KERNELS, default=SneConfig.kernel)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="out_path", required=True)
     p.add_argument("--trace", help="write the per-iteration cost trace csv")

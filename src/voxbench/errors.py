@@ -1,5 +1,6 @@
 """Exception types raised across the pipeline, and the type check of user-set parameters."""
 
+import dataclasses
 import numbers
 
 
@@ -129,3 +130,9 @@ def check_like_default(label: str, value, default) -> None:
         ok, expected = isinstance(value, type(default)), f"a {type(default).__name__}"
     if not ok:
         raise ValueError(f"{label} must be {expected}, got {value!r}")
+
+
+def check_fields_like_defaults(spec, prefix: str = "") -> None:
+    """check_like_default on every field of the dataclass spec after the first; prefix leads each label."""
+    for knob in dataclasses.fields(spec)[1:]:
+        check_like_default(f"{prefix}{knob.name}", getattr(spec, knob.name), knob.default)

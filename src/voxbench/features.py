@@ -14,7 +14,7 @@ import numpy as np
 from scipy.fft import dct, idct
 
 from .audio_io import AudioSignal, check_frame_timing, frame_signal, hamming_window
-from .errors import FilterbankTooDense, FrameExceedsFft, UnstableRecursion
+from .errors import FilterbankTooDense, FrameExceedsFft, UnstableRecursion, check_fields_like_defaults
 
 LOG_FLOOR = 1e-10  # keeps log of empty bands finite
 EXTRACTOR_KINDS = ("mfcc", "lpcc", "plp")
@@ -32,7 +32,10 @@ BARK_ZERO_HALF_WIDTH = 1.5
 
 @dataclass(frozen=True)
 class ExtractorConfig:
-    """Knobs shared by the three extractors; see default_config for presets."""
+    """Knobs shared by the three extractors; see default_config for presets.
+
+    Each knob must have the type of its default.
+    """
 
     kind: str
     pre_emphasis_a: float = 0.97
@@ -48,6 +51,7 @@ class ExtractorConfig:
     def __post_init__(self):
         if self.kind not in EXTRACTOR_KINDS:
             raise ValueError(f"kind must be one of {EXTRACTOR_KINDS}")
+        check_fields_like_defaults(self)
         if not 0.9 <= self.pre_emphasis_a <= 1.0:
             raise ValueError("pre_emphasis_a must lie in [0.9, 1]")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
@@ -80,10 +84,9 @@ def default_config(kind: str, **overrides) -> ExtractorConfig:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-frame feature vectors, the config that produced them, and the unstable LPC frame count."""
+    """Per-frame feature vectors and the unstable LPC frame count."""
 
     values: np.ndarray
-    config: ExtractorConfig
     unstable_frames: int = 0
 
     def __post_init__(self):
@@ -91,10 +94,6 @@ class FeatureMatrix:
             raise ValueError("values must be a non-empty frame x coefficient matrix")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("feature values must be finite")
-
-    @property
-    def frame_count(self) -> int:
-        return self.values.shape[0]
 
 
 def pre_emphasize(signal: AudioSignal, a: float) -> AudioSignal:
@@ -214,10 +213,7 @@ def mfcc(
     else:
         ceps = idct(log_energies, type=2, norm="ortho", axis=1)
     lo = 0 if config.include_c0 else 1
-    return FeatureMatrix(
-        values=ceps[:, lo : lo + config.num_ceps],
-        config=config,
-    )
+    return FeatureMatrix(values=ceps[:, lo : lo + config.num_ceps])
 
 
 # --- LPC path -------------------------------------------------------------
@@ -312,11 +308,7 @@ def lpcc(
     emphasized = pre_emphasize(signal, config.pre_emphasis_a)
     frames = windowed_frames(emphasized, config, max_frames=max_frames)
     coeffs, _, unstable = lpc_analysis(frames, config.lpc_order_q)
-    return FeatureMatrix(
-        values=lpc_to_cepstrum(coeffs, config.num_ceps),
-        config=config,
-        unstable_frames=unstable,
-    )
+    return FeatureMatrix(values=lpc_to_cepstrum(coeffs, config.num_ceps), unstable_frames=unstable)
 
 
 # --- PLP path -------------------------------------------------------------
@@ -385,11 +377,7 @@ def plp(
     autocorr = np.fft.ifft(symmetric, axis=1).real[:, : config.lpc_order_q + 1]
 
     coeffs, _, unstable = levinson_durbin_rows(autocorr)
-    return FeatureMatrix(
-        values=lpc_to_cepstrum(coeffs, config.num_ceps),
-        config=config,
-        unstable_frames=unstable,
-    )
+    return FeatureMatrix(values=lpc_to_cepstrum(coeffs, config.num_ceps), unstable_frames=unstable)
 
 
 def extract(

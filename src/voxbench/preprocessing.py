@@ -18,29 +18,27 @@ from .errors import DegenerateSilence, NoVoicedContent, TooShort
 SILENCE_HEAD_MS = 200.0
 DEFAULT_U_THRESHOLD = 3.0
 DEFAULT_BLOCK_MS = 10.0
-DEFAULT_VOICED_FRACTION = 0.2
 DEFAULT_MIN_SEGMENT_MS = 50.0
+# a block is voiced when more than this share of its samples are outliers
+VOICED_FRACTION = 0.2
 # warn when this share of blocks is voiced: the leading 200 ms was likely speech
 CONTAMINATION_WARN_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
 class SilenceModel:
-    """Amplitude statistics of the leading 200 ms plus the voicing rule knobs."""
+    """Amplitude statistics of the leading 200 ms plus the outlier threshold and block length."""
 
     mu: float
     sigma: float
     u_threshold: float = DEFAULT_U_THRESHOLD
     frame_ms: float = DEFAULT_BLOCK_MS
-    voiced_fraction: float = DEFAULT_VOICED_FRACTION
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise DegenerateSilence("sigma must be positive")
         if self.u_threshold <= 0:
             raise ValueError("u_threshold must be positive")
-        if not 0 < self.voiced_fraction <= 1:
-            raise ValueError("voiced_fraction must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,6 @@ def fit_silence_model(
     signal: AudioSignal,
     u_threshold: float = DEFAULT_U_THRESHOLD,
     frame_ms: float = DEFAULT_BLOCK_MS,
-    voiced_fraction: float = DEFAULT_VOICED_FRACTION,
 ) -> SilenceModel:
     """Estimate mu/sigma from exactly the first 200 ms of the signal."""
     head_len = int(round(SILENCE_HEAD_MS * signal.sample_rate / 1000.0))
@@ -66,13 +63,7 @@ def fit_silence_model(
     sigma = float(np.std(head))
     if sigma == 0.0:
         raise DegenerateSilence("leading 200 ms is constant; cannot model silence")
-    return SilenceModel(
-        mu=mu,
-        sigma=sigma,
-        u_threshold=u_threshold,
-        frame_ms=frame_ms,
-        voiced_fraction=voiced_fraction,
-    )
+    return SilenceModel(mu=mu, sigma=sigma, u_threshold=u_threshold, frame_ms=frame_ms)
 
 
 def standardize(x, model: SilenceModel):
@@ -89,7 +80,7 @@ def remove_silence(
     """Drop blocks whose samples stay close to the silence model.
 
     The signal is cut into consecutive blocks of model.frame_ms; a block is
-    voiced when more than model.voiced_fraction of its samples satisfy
+    voiced when more than VOICED_FRACTION of its samples satisfy
     |u| > model.u_threshold. Adjacent voiced blocks merge into segments and
     segments shorter than min_segment_ms are discarded. With endpoints_only,
     every block between the first and last voiced one is kept.
@@ -103,7 +94,7 @@ def remove_silence(
 
     u = np.abs(standardize(signal.samples[: n_blocks * block], model))
     outlier_fraction = (u.reshape(n_blocks, block) > model.u_threshold).mean(axis=1)
-    voiced = outlier_fraction > model.voiced_fraction
+    voiced = outlier_fraction > VOICED_FRACTION
     if not voiced.any():
         raise NoVoicedContent("no block passed the voicing test")
 

@@ -20,7 +20,6 @@ from .errors import (
     PerplexityUnreachable,
 )
 
-EIGENVALUE_CLAMP = -1e-10
 PERPLEXITY_TOL = 1e-4
 MAX_BANDWIDTH_STEPS = 100
 
@@ -131,12 +130,22 @@ class Embedding:
     cost_trace: np.ndarray = field(repr=False)
 
 
+def _sq_distances_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Write the squared distances between the rows of x into out; scratch is a second n x n buffer."""
+    sq = (x**2).sum(axis=1)
+    np.add(sq[:, None], sq[None, :], out=out)
+    np.matmul(x, x.T, out=scratch)
+    scratch *= 2.0
+    out -= scratch
+    np.fill_diagonal(out, 0.0)
+    np.maximum(out, 0.0, out=out)
+
+
 def pairwise_sq_distances(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    sq = (x**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
+    d2 = np.empty((len(x), len(x)))
+    _sq_distances_into(x, d2, np.empty_like(d2))
+    return d2
 
 
 def calibrated_conditionals(data, perplexity: float) -> np.ndarray:
@@ -212,18 +221,12 @@ def sne_p_matrix(data, perplexity: Optional[float] = None) -> np.ndarray:
 def _gaussian_q(y: np.ndarray, q: np.ndarray, scratch: np.ndarray, p=None):
     """Write the row-stochastic Gaussian q of the embedding y into q.
 
-    The operations and their order are those of pairwise_sq_distances followed
-    by a row softmax of -d2, so q is bitwise the same; scratch is a second n x n
-    buffer. Returns each row's logit maximum m_i and sum of exponentials s_i,
-    and <p, -d2> when p is given.
+    q is the row softmax of -d2, where _sq_distances_into writes d2 as it does
+    for pairwise_sq_distances; scratch is a second n x n buffer. Returns each
+    row's logit maximum m_i and sum of exponentials s_i, and <p, -d2> when p
+    is given.
     """
-    sq = (y**2).sum(axis=1)
-    np.add(sq[:, None], sq[None, :], out=q)
-    np.matmul(y, y.T, out=scratch)
-    scratch *= 2.0
-    q -= scratch
-    np.fill_diagonal(q, 0.0)
-    np.maximum(q, 0.0, out=q)
+    _sq_distances_into(y, q, scratch)
     np.negative(q, out=q)
     p_dot_logits = None if p is None else float(np.vdot(p, q))
     np.fill_diagonal(q, -np.inf)  # self-probability is zero

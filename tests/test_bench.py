@@ -26,6 +26,8 @@ from voxbench.bench import (
 )
 from voxbench import reduction
 from voxbench.errors import UndefinedRoc
+from voxbench.preprocessing import DEFAULT_MIN_SEGMENT_MS, DEFAULT_U_THRESHOLD
+from voxbench.reduction import SneConfig
 from voxbench.features import default_config
 
 FAST = HarnessSettings(max_frames_per_file=25)
@@ -256,6 +258,20 @@ def test_default_grid_shape():
         "complex tree", "weighted knn", "fine svm", "feed forward", "bagged trees",
     }
     assert [e.kind for e in grid.extractors] == ["mfcc", "lpcc", "plp"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_reducer_spec_defaults_are_sne_configs(seed):
+    assert ReducerSpec("sne").sne_config(seed) == SneConfig(seed=seed)
+
+
+def test_report_settings_carry_the_vad_constants(small_corpus):
+    settings = run_sweep(small_corpus, grid=mini_grid(), settings=FAST)["settings"]
+    assert settings == {
+        **dataclasses.asdict(FAST),
+        "vad_u_threshold": DEFAULT_U_THRESHOLD,
+        "vad_min_segment_ms": DEFAULT_MIN_SEGMENT_MS,
+    }
 
 
 @pytest.mark.parametrize("cap", [0, -3, 1.5])

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import pickle
@@ -13,11 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxbench.audio_io import AudioSignal, write_wav
-from voxbench.bench import ClassifierSpec, HarnessSettings, ReducerSpec, harness, speaker_scaling_curve
+from voxbench.bench import ClassifierSpec, HarnessSettings, ReducerSpec, ScalingCurve, harness, speaker_scaling_curve
 from voxbench.bench.reports import write_scaling_curve
-from voxbench.cli import main
+from voxbench.cli import _extractor_config_from_args, _grid_from_json, build_parser, main
 from voxbench.errors import PipelineError
-from voxbench.features import default_config
+from voxbench.features import ExtractorConfig, default_config
+from voxbench.preprocessing import fit_silence_model, remove_silence
+from voxbench.reduction import SneConfig
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +163,45 @@ def test_train_rejects_mistyped_parameter(embedding_csv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("param", ["tol=0.01", "max_passes=5"])
+def test_train_rejects_removed_svm_parameter(embedding_csv, tmp_path, capsys, param):
+    assert main(["train", "--in", str(embedding_csv), "--model", "svm",
+                 "--params", param, "--out", str(tmp_path / "model.pkl")]) == 2
+    name = param.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: classifier 'fine svm' takes no parameter {name}; it takes kernel_scale, box_c\n"
+    )
+    assert not (tmp_path / "model.pkl").exists()
+
+
+def test_reduce_and_vad_flag_defaults_are_the_librarys():
+    parser = build_parser()
+    reduce = parser.parse_args(["reduce", "--in", "a.csv", "--method", "sne", "--out", "b.csv"])
+    sne = SneConfig()
+    assert (reduce.dim, reduce.perplexity, reduce.max_iter, reduce.kernel, reduce.seed) == (
+        sne.target_dim, sne.perplexity, sne.max_iter, sne.kernel, sne.seed
+    )
+    vad = parser.parse_args(["vad", "--in", "a.wav", "--out", "b.wav"])
+    fit = inspect.signature(fit_silence_model).parameters
+    trim = inspect.signature(remove_silence).parameters
+    assert (vad.threshold, vad.block_ms, vad.min_segment_ms, vad.endpoints_only) == (
+        fit["u_threshold"].default, fit["frame_ms"].default,
+        trim["min_segment_ms"].default, trim["endpoints_only"].default,
+    )
+
+
+def test_extract_flags_set_their_config_fields():
+    parser = build_parser()
+    base = ["extract", "--in", "a.wav", "--out", "b.csv", "--method"]
+    assert _extractor_config_from_args(parser.parse_args([*base, "plp"])) == default_config("plp")
+    args = parser.parse_args([
+        *base, "lpcc", "--pre-emphasis", "0.95", "--frame-ms", "20", "--hop-ms", "8", "--fft-size", "1024",
+        "--filter-count", "30", "--lpc-order", "10", "--num-ceps", "14", "--dct", "idct", "--include-c0",
+    ])
+    expected = ExtractorConfig("lpcc", 0.95, 20.0, 8.0, 1024, 30, 10, 14, "idct", True)
+    assert _extractor_config_from_args(args) == expected
+
+
 def test_train_and_predict_roundtrip(embedding_csv, tmp_path):
     model_file = tmp_path / "model.pkl"
     assert main(["train", "--in", str(embedding_csv), "--model", "knn",
@@ -288,7 +330,7 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ([1, 2], "a grid file must hold one JSON object"),
         ({"classifiers": [{"name": "weighted knn", "bogus": 1}]}, "classifier 'weighted knn' takes no parameter bogus"),
         ({"classifiers": [{"name": "svm"}]}, "unknown classifier 'svm'"),
-        ({"extractors": [{"kind": "mfcc", "num_ceps": "12"}]}, "grid 'extractors' entry"),
+        ({"extractors": [{"kind": "mfcc", "num_ceps": "12"}]}, "num_ceps must be an integer"),
         ({"reducers": {"method": "pca"}}, "grid 'reducers' must be a list of objects"),
         ({"scaling_curve": 5}, "grid 'scaling_curve' must be an object"),
         ({"classifiers": [{"name": "weighted knn", "k": "3"}]},
@@ -317,6 +359,21 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"extractors": [{"kind": "mfcc", "hop_ms": 40}]}, "extractor 'mfcc': hop_ms must satisfy"),
         ({"classifiers": [{"name": "bagged trees", "resample": False}]},
          "classifier 'bagged trees' takes no parameter resample"),
+        ({"extractors": [{"kind": "mfcc", "num_ceps": 13.5}]}, "extractor 'mfcc': num_ceps must be an integer, got 13.5"),
+        ({"extractors": [{"kind": "lpcc", "lpc_order_q": 12.5}]},
+         "extractor 'lpcc': lpc_order_q must be an integer, got 12.5"),
+        ({"extractors": [{"kind": "mfcc", "filter_count": 26.5}]},
+         "extractor 'mfcc': filter_count must be an integer, got 26.5"),
+        ({"extractors": [{"kind": "mfcc", "include_c0": "yes"}]}, "extractor 'mfcc': include_c0 must be a bool, got 'yes'"),
+        ({"extractors": [{"kind": "mfcc", "hop_ms": True}]}, "extractor 'mfcc': hop_ms must be a real number, got True"),
+        ({"classifiers": [{"name": "fine svm", "tol": 0.01}]},
+         "classifier 'fine svm' takes no parameter tol; it takes kernel_scale, box_c"),
+        ({"classifiers": [{"name": "fine svm", "max_passes": 5}]},
+         "classifier 'fine svm' takes no parameter max_passes; it takes kernel_scale, box_c"),
+        ({"scaling_curve": []}, "grid 'scaling_curve' must be an object"),
+        ({"scaling_curve": 0}, "grid 'scaling_curve' must be an object"),
+        ({"scaling_curve": False}, "grid 'scaling_curve' must be an object"),
+        ({"scaling_curve": None}, "grid 'scaling_curve' must be an object"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
@@ -327,8 +384,19 @@ def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monke
     assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid_path),
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_empty_scaling_curve_is_the_default_curve(cli_corpus, tmp_path, monkeypatch, capsys):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"scaling_curve": {}}))
+    assert _grid_from_json(grid_path)[0].scaling_curve == ScalingCurve()
+    # the default counts run to 7 speakers; this corpus has 2
+    _no_wav_reads(monkeypatch)
+    assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid_path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: speaker_counts exceed the manifest's speaker count\n"
 
 
 @pytest.mark.parametrize(

@@ -191,10 +191,10 @@ def test_silent_stretch_gives_counted_zero_rows_without_warnings(extractor):
     _, x = ar2_signal(rng, SR)
     x[4000:12000] = 0.0
     sig = AudioSignal(samples=x, sample_rate=SR)
+    config = default_config(extractor.__name__)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        feats = extractor(sig, default_config(extractor.__name__))
-    config = feats.config
+        feats = extractor(sig, config)
     framed = pre_emphasize(sig, config.pre_emphasis_a) if extractor is lpcc else sig
     silent = ~frame_signal(framed, config.frame_ms, config.hop_ms).frames.any(axis=1)
     assert silent.sum() >= 40
