@@ -233,10 +233,9 @@ def roc_auc(points) -> float:
     return float(_trapezoid(points[:, 1], points[:, 0]))
 
 
-def _evaluate_split(reduced, table, train_mask, classifier: ClassifierSpec, seed, settings):
-    data = LabeledDataset(points=reduced, labels=table.speakers, train_mask=train_mask)
-    model = train_by_name(classifier.name, data, seed=seed, **classifier.params)
-    true_labels, test_recordings = data.test_labels, table.recordings[~train_mask]
+def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: HarnessSettings) -> dict:
+    """The report fields of a trained model on the test rows of data."""
+    true_labels, test_recordings = data.test_labels, table.recordings[~data.train_mask]
     predicted, scores = predict(model, data.test_points)
 
     confusion = confusion_matrix(true_labels, predicted, table.class_count)
@@ -345,9 +344,10 @@ def _grid_entries(
     Stage outputs are shared: one train mask per extractor, one embedding per
     extractor/reducer pair, and the cells that read it. With jobs > 1 the
     embeddings run on a pool of `jobs` threads; the cells always run in the
-    calling thread, after the last embedding. Seeds derive from (master_seed,
-    stage tag), so serial and parallel runs, and a cell run on its own,
-    produce identical entries.
+    calling thread, after the last embedding, classifier by classifier: one
+    train_by_name call over every live pair, then one predict per cell.
+    Seeds derive from (master_seed, stage tag), so serial and parallel runs,
+    and a cell run on its own, produce identical entries.
     """
     rotation = derive_seed(master_seed, "split")
     masks = {
@@ -373,10 +373,9 @@ def _grid_entries(
             return None, _failure(exc)
         return reduced, None
 
-    def run_cell(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec, embedded) -> dict:
-        reduced, reason = embedded
+    def cell_entry(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec) -> dict:
         combo_tag = f"{extractor.kind}:{reducer.method}:{classifier.name}"
-        entry = {
+        return {
             "extractor": extractor.kind,
             "reducer": reducer.method,
             "classifier": classifier.name,
@@ -384,24 +383,6 @@ def _grid_entries(
             "transductive": reducer.method == "sne",
             "split_rotation": rotation % 10**9,
         }
-        if reason is None:
-            try:
-                entry.update(
-                    _evaluate_split(
-                        reduced,
-                        tables[extractor.kind],
-                        masks[extractor.kind],
-                        classifier,
-                        entry["seed"],
-                        settings,
-                    )
-                )
-            except PipelineError as exc:
-                reason = _failure(exc)
-        entry["status"] = "ok" if reason is None else "failed"
-        if reason is not None:
-            entry["failure_reason"] = reason
-        return entry
 
     pairs = [(extractor, reducer) for reducer in grid.reducers for extractor in grid.extractors]
     if jobs == 1:
@@ -413,11 +394,33 @@ def _grid_entries(
         # on two threads took longer than one after another.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             embedded = list(pool.map(lambda pair: embed(*pair), pairs))
-    entries = [
-        run_cell(extractor, reducer, classifier, embedding)
-        for (extractor, reducer), embedding in zip(pairs, embedded)
-        for classifier in grid.classifiers
-    ]
+    datasets = {
+        i: LabeledDataset(points=reduced, labels=tables[extractor.kind].speakers, train_mask=masks[extractor.kind])
+        for i, ((extractor, _), (reduced, reason)) in enumerate(zip(pairs, embedded))
+        if reason is None
+    }
+
+    entries = []
+    for classifier in grid.classifiers:
+        cells = [cell_entry(extractor, reducer, classifier) for extractor, reducer in pairs]
+        # one call per classifier, so that the models which can share a training step do
+        trained = train_by_name(
+            classifier.name, list(datasets.values()), [cells[i]["seed"] for i in datasets], **classifier.params
+        )
+        models = dict(zip(datasets, trained))
+        for i, ((extractor, _), (_, reason), entry) in enumerate(zip(pairs, embedded, cells)):
+            model = models.get(i)
+            if isinstance(model, PipelineError):
+                reason = _failure(model)
+            elif model is not None:
+                try:
+                    entry.update(_evaluate_split(model, datasets[i], tables[extractor.kind], settings))
+                except PipelineError as exc:
+                    reason = _failure(exc)
+            entry["status"] = "ok" if reason is None else "failed"
+            if reason is not None:
+                entry["failure_reason"] = reason
+            entries.append(entry)
     entries.sort(key=lambda e: (e["reducer"], e["extractor"], e["classifier"]))
     return entries
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import inspect
 
-from ..errors import check_like_default
+from ..errors import PipelineError, check_like_default, check_parameter_names
 from .base import LabeledDataset, TrainedClassifier, check_counts, predict
-from .ffnn import FeedForwardNet, ffnn_train
+from .ffnn import FeedForwardNet, ffnn_train, ffnn_train_many
 from .knn import knn_train
 from .svm import svm_train
-from .trees import bagged_trees_train, tree_train
+from .trees import bagged_trees_train, tree_train, tree_train_many
 
 # canonical benchmark names, in report row order, with the trainer of each
 _TRAINERS = {
@@ -19,6 +19,8 @@ _TRAINERS = {
     "feed forward": ffnn_train,
     "bagged trees": bagged_trees_train,
 }
+# families that train a group of datasets with one train shape and class count in lockstep
+_LOCKSTEP_TRAINERS = {"complex tree": tree_train_many, "feed forward": ffnn_train_many}
 CLASSIFIER_NAMES = tuple(_TRAINERS)
 
 
@@ -29,23 +31,42 @@ def check_classifier(name: str, params: dict) -> None:
     # the data and the stage seed are passed by train_by_name, never by params
     signature = inspect.signature(_TRAINERS[name]).parameters
     defaults = {key: p.default for key, p in signature.items() if key not in ("data", "seed")}
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"classifier {name!r} takes no parameter {', '.join(unknown)}; it takes {', '.join(defaults)}"
-        )
+    check_parameter_names(f"classifier {name!r}", params, defaults)
     for key, value in params.items():
         check_like_default(f"classifier {name!r} parameter {key}", value, defaults[key])
     check_counts(params, prefix=f"classifier {name!r} parameter ")
 
 
-def train_by_name(name: str, data: LabeledDataset, seed: int = 0, **params) -> TrainedClassifier:
-    """Train a named classifier; params override its trainer's defaults, seed goes to seeded trainers."""
+def train_by_name(name: str, datasets, seeds, **params) -> list:
+    """Train a named classifier on each dataset; params override its trainer's defaults.
+
+    Returns a list with one entry per dataset, in order: its TrainedClassifier,
+    or the PipelineError that stopped its training. seeds[i] goes with
+    datasets[i] to seeded trainers. Feed forward and complex tree train each
+    group of datasets that share train shape and class count in one lockstep
+    call; every model equals the one its dataset trains alone.
+    """
     check_classifier(name, params)
     trainer = _TRAINERS[name]
-    if "seed" in inspect.signature(trainer).parameters:
-        params["seed"] = seed
-    return trainer(data, **params)
+    seeded = "seed" in inspect.signature(trainer).parameters
+    if name in _LOCKSTEP_TRAINERS:
+        results = [None] * len(datasets)
+        groups: dict = {}
+        for i, data in enumerate(datasets):
+            groups.setdefault((data.train_points.shape, data.class_count), []).append(i)
+        for members in groups.values():
+            group_params = {**params, "seeds": [seeds[i] for i in members]} if seeded else params
+            trained = _LOCKSTEP_TRAINERS[name]([datasets[i] for i in members], **group_params)
+            for i, result in zip(members, trained):
+                results[i] = result
+        return results
+    results = []
+    for data, seed in zip(datasets, seeds):
+        try:
+            results.append(trainer(data, seed=seed, **params) if seeded else trainer(data, **params))
+        except PipelineError as exc:
+            results.append(exc)
+    return results
 
 
 __all__ = [

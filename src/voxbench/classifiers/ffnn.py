@@ -21,14 +21,19 @@ def _sigmoid(z):
 
 
 def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass
 class FeedForwardNet:
-    """Weights of a d -> h1 -> h2 -> K network (sigmoid hidden, softmax out)."""
+    """Weights of a d -> h1 -> h2 -> K network (sigmoid hidden, softmax out).
+
+    The weights may carry a leading stack axis: E nets of one shape, w1 of
+    shape (E, d, h1), b1 (E, h1) and so on, each net run on its own batch of
+    an (E, m, d) input. Every net of a stack computes what it computes alone.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -43,35 +48,90 @@ class FeedForwardNet:
         u = lambda *shape: rng.uniform(-INIT_HALF_RANGE, INIT_HALF_RANGE, shape)
         return cls(w1=u(dim, h1), b1=u(h1), w2=u(h1, h2), b2=u(h2), w3=u(h2, classes), b3=u(classes))
 
+    @property
+    def weights(self) -> tuple:
+        return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
+
+    def _activations(self, x):
+        a1 = _sigmoid(x @ self.w1 + self.b1[..., None, :])
+        a2 = _sigmoid(a1 @ self.w2 + self.b2[..., None, :])
+        return a1, a2, _softmax(a2 @ self.w3 + self.b3[..., None, :])
+
     def forward(self, x):
-        a1 = _sigmoid(x @ self.w1 + self.b1)
-        a2 = _sigmoid(a1 @ self.w2 + self.b2)
-        return _softmax(a2 @ self.w3 + self.b3)
+        return self._activations(x)[2]
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         return self.forward(queries)
 
     def loss_and_grads(self, x, labels):
-        """Mean cross-entropy over the batch and its weight gradients."""
-        n = x.shape[0]
-        a1 = _sigmoid(x @ self.w1 + self.b1)
-        a2 = _sigmoid(a1 @ self.w2 + self.b2)
-        probs = _softmax(a2 @ self.w3 + self.b3)
-        picked = probs[np.arange(n), labels]
-        loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
+        """Mean cross-entropy over the batch (one per net of a stack) and its weight gradients."""
+        n = x.shape[-2]
+        a1, a2, probs = self._activations(x)
+        onehot = labels[..., None] == np.arange(probs.shape[-1])
+        picked = probs[onehot].reshape(labels.shape)
+        loss = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
 
-        delta3 = probs.copy()
-        delta3[np.arange(n), labels] -= 1.0
-        delta3 /= n
-        grad_w3 = a2.T @ delta3
-        grad_b3 = delta3.sum(axis=0)
-        delta2 = (delta3 @ self.w3.T) * a2 * (1.0 - a2)
-        grad_w2 = a1.T @ delta2
-        grad_b2 = delta2.sum(axis=0)
-        delta1 = (delta2 @ self.w2.T) * a1 * (1.0 - a1)
-        grad_w1 = x.T @ delta1
-        grad_b1 = delta1.sum(axis=0)
+        delta3 = (probs - onehot) / n
+        grad_w3 = a2.swapaxes(-1, -2) @ delta3
+        grad_b3 = delta3.sum(axis=-2)
+        delta2 = (delta3 @ self.w3.swapaxes(-1, -2)) * a2 * (1.0 - a2)
+        grad_w2 = a1.swapaxes(-1, -2) @ delta2
+        grad_b2 = delta2.sum(axis=-2)
+        delta1 = (delta2 @ self.w2.swapaxes(-1, -2)) * a1 * (1.0 - a1)
+        grad_w1 = x.swapaxes(-1, -2) @ delta1
+        grad_b1 = delta1.sum(axis=-2)
         return loss, (grad_w1, grad_b1, grad_w2, grad_b2, grad_w3, grad_b3)
+
+
+def ffnn_train_many(
+    datasets,
+    seeds,
+    hidden: tuple[int, int] = DEFAULT_HIDDEN,
+    epochs: int = DEFAULT_EPOCHS,
+    lr: float = DEFAULT_LR,
+    batch_size: int = DEFAULT_BATCH,
+) -> list:
+    """ffnn_train on each dataset with its seed, every net in one lockstep stack.
+
+    The datasets must share train shape and class count. Each net keeps its
+    own generator, initial weights and per-epoch order, and ends equal to
+    the net trained alone. A net whose loss turns non-finite leaves the stack
+    and its entry is the NonFiniteLoss; the others train on.
+    """
+    check_counts({"hidden": hidden, "batch_size": batch_size})
+    if len({(data.train_points.shape, data.class_count) for data in datasets}) > 1:
+        raise ValueError("lockstep datasets must share train shape and class count")
+    x = np.stack([data.train_points for data in datasets])
+    y = np.stack([data.train_labels for data in datasets])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    nets = [FeedForwardNet.initialized(x.shape[2], hidden, datasets[0].class_count, rng) for rng in rngs]
+    stack = FeedForwardNet(*(np.stack(weights) for weights in zip(*(net.weights for net in nets))))
+    results: list = [None] * len(datasets)
+    live = np.arange(len(datasets))  # the dataset of each stacked net
+
+    n = x.shape[1]
+    for _ in range(epochs):
+        if not live.size:
+            break
+        order = np.stack([rngs[i].permutation(n) for i in live])
+        xs = np.take_along_axis(x, order[..., None], axis=1)
+        ys = np.take_along_axis(y, order, axis=1)
+        for start in range(0, n, batch_size):
+            batch = slice(start, start + batch_size)
+            loss, grads = stack.loss_and_grads(xs[:, batch], ys[:, batch])
+            finite = np.isfinite(loss)
+            if not finite.all():
+                for i, value in zip(live[~finite], loss[~finite]):
+                    results[i] = NonFiniteLoss(f"loss became {value}")
+                live, x, y, xs, ys = live[finite], x[finite], y[finite], xs[finite], ys[finite]
+                stack = FeedForwardNet(*(weight[finite] for weight in stack.weights))
+                grads = [grad[finite] for grad in grads]
+            for weight, grad in zip(stack.weights, grads):
+                weight -= lr * grad
+    for row, i in enumerate(live):
+        net = FeedForwardNet(*(weight[row].copy() for weight in stack.weights))
+        results[i] = TrainedClassifier.fitted("feed forward", net, datasets[i])
+    return results
 
 
 def ffnn_train(
@@ -83,19 +143,7 @@ def ffnn_train(
     batch_size: int = DEFAULT_BATCH,
 ) -> TrainedClassifier:
     """Seeded mini-batch gradient descent on the cross-entropy loss."""
-    check_counts({"hidden": hidden, "batch_size": batch_size})
-    x, y = data.train_points, data.train_labels
-    rng = np.random.default_rng(seed)
-    net = FeedForwardNet.initialized(x.shape[1], hidden, data.class_count, rng)
-
-    n = x.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
-            loss, grads = net.loss_and_grads(x[batch], y[batch])
-            if not np.isfinite(loss):
-                raise NonFiniteLoss(f"loss became {loss}")
-            for weight, grad in zip((net.w1, net.b1, net.w2, net.b2, net.w3, net.b3), grads):
-                weight -= lr * grad
-    return TrainedClassifier.fitted("feed forward", net, data)
+    (result,) = ffnn_train_many([data], [seed], hidden, epochs, lr, batch_size)
+    if isinstance(result, NonFiniteLoss):
+        raise result
+    return result

@@ -30,7 +30,7 @@ from .bench import (
 from .bench.harness import DEFAULT_MAX_FRAMES_PER_FILE, DEFAULT_RECALL_THRESHOLD, REDUCER_NAMES, default_grid
 from .bench.reports import format_float
 from .classifiers import LabeledDataset, predict, train_by_name
-from .errors import PipelineError
+from .errors import PipelineError, check_parameter_names
 from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config, extract
 from .preprocessing import (
     DEFAULT_BLOCK_MS,
@@ -223,7 +223,9 @@ def cmd_train(args) -> int:
         return _fail("training rows must carry speaker labels")
     name = MODEL_ALIASES[args.model]
     data = LabeledDataset(points=matrix, labels=speakers, train_mask=np.ones(len(speakers), bool))
-    model = train_by_name(name, data, seed=args.seed, **_parse_params(args.params))
+    (model,) = train_by_name(name, [data], [args.seed], **_parse_params(args.params))
+    if isinstance(model, PipelineError):
+        raise model
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
@@ -266,19 +268,27 @@ def _grid_specs(raw: dict, axis: str, key: str, build) -> tuple:
     for item in items:
         if not isinstance(item, dict) or key not in item:
             raise ValueError(f"grid {axis!r} entry {item!r} must be an object with a {key!r} key")
-        try:
-            specs.append(build(item[key], {k: v for k, v in item.items() if k != key}))
-        except TypeError as exc:  # unknown or mistyped fields
-            raise ValueError(f"grid {axis!r} entry {item!r}: {exc}") from None
+        specs.append(build(item[key], {k: v for k, v in item.items() if k != key}))
     return tuple(specs)
+
+
+def _knob_names(spec_type) -> list[str]:
+    """The fields of a spec dataclass after the first, which names its kind, method or classifier."""
+    return [f.name for f in dataclasses.fields(spec_type)[1:]]
 
 
 def _extractor_spec(kind, rest: dict) -> ExtractorConfig:
     """default_config(kind, **rest); a ValueError names the extractor, as ReducerSpec's do."""
+    check_parameter_names(f"extractor {kind!r}", rest, _knob_names(ExtractorConfig))
     try:
         return default_config(kind, **rest)
     except ValueError as exc:
         raise ValueError(f"extractor {kind!r}: {exc}") from None
+
+
+def _reducer_spec(method, rest: dict) -> ReducerSpec:
+    check_parameter_names(f"reducer {method!r}", rest, _knob_names(ReducerSpec))
+    return ReducerSpec(method, **rest)
 
 
 def _grid_from_json(path) -> tuple[SweepGrid, dict]:
@@ -297,8 +307,7 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
     default = default_grid()
     grid = SweepGrid(
         extractors=_grid_specs(raw, "extractors", "kind", _extractor_spec) or default.extractors,
-        reducers=_grid_specs(raw, "reducers", "method", lambda method, rest: ReducerSpec(method, **rest))
-        or default.reducers,
+        reducers=_grid_specs(raw, "reducers", "method", _reducer_spec) or default.reducers,
         classifiers=_grid_specs(raw, "classifiers", "name", ClassifierSpec) or default.classifiers,
         scaling_curve=ScalingCurve(**curve) if "scaling_curve" in raw else None,
     )

@@ -132,6 +132,13 @@ def check_like_default(label: str, value, default) -> None:
         raise ValueError(f"{label} must be {expected}, got {value!r}")
 
 
+def check_parameter_names(label: str, given, allowed) -> None:
+    """Raise ValueError naming label and the allowed names unless every given name is allowed."""
+    unknown = sorted(set(given) - set(allowed))
+    if unknown:
+        raise ValueError(f"{label} takes no parameter {', '.join(unknown)}; it takes {', '.join(allowed)}")
+
+
 def check_fields_like_defaults(spec, prefix: str = "") -> None:
     """check_like_default on every field of the dataclass spec after the first; prefix leads each label."""
     for knob in dataclasses.fields(spec)[1:]:

@@ -85,6 +85,8 @@ def remove_silence(
     segments shorter than min_segment_ms are discarded. With endpoints_only,
     every block between the first and last voiced one is kept.
     """
+    if not min_segment_ms >= 0:
+        raise ValueError(f"min_segment_ms must be >= 0, got {min_segment_ms!r}")
     block = int(round(model.frame_ms * signal.sample_rate / 1000.0))
     if block <= 0:
         raise ValueError("frame_ms too small for this sample rate")

@@ -495,6 +495,18 @@ def test_data_dependent_reducer_limit_fails_only_its_cells(small_corpus, tmp_pat
             assert entry["status"] == "ok"
 
 
+def test_nonfinite_loss_fails_only_its_cell(small_corpus):
+    grid = SweepGrid(
+        extractors=(default_config("mfcc"),),
+        reducers=(ReducerSpec("pca"),),
+        classifiers=(ClassifierSpec("feed forward", {"lr": 1e308}), ClassifierSpec("weighted knn", {"k": 3})),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = run_sweep(small_corpus, grid=grid, settings=FAST)
+    status = {entry["classifier"]: (entry["status"], entry.get("failure_reason")) for entry in report["combinations"]}
+    assert status == {"feed forward": ("failed", "NonFiniteLoss: loss became nan"), "weighted knn": ("ok", None)}
+
+
 def test_fft_shorter_than_frame_fails_only_its_extractor(small_corpus, tmp_path):
     short_fft = default_config("mfcc", fft_size=256)  # a 25 ms frame is 400 samples at 16 kHz
     grid = dataclasses.replace(mini_grid(), extractors=(short_fft, default_config("lpcc")))

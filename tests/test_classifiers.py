@@ -1,8 +1,14 @@
 import dataclasses
+import heapq
+import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from voxbench.classifiers import (
     FeedForwardNet,
@@ -16,8 +22,10 @@ from voxbench.classifiers import (
     train_by_name,
     tree_train,
 )
-from voxbench.classifiers.trees import grow_tree
-from voxbench.errors import DimensionMismatch, KTooLarge
+from voxbench.classifiers import trees
+from voxbench.classifiers.ffnn import ffnn_train_many
+from voxbench.classifiers.trees import DecisionTreeModel, grow_trees
+from voxbench.errors import DimensionMismatch, KTooLarge, NonFiniteLoss
 
 
 def dataset(points, labels, train_mask=None):
@@ -176,7 +184,7 @@ def test_one_tree_bag_is_grown_on_the_seeded_bootstrap_rows():
     data = dataset(points, labels, train_mask=np.arange(labels.size) % 5 != 0)
     x, y = data.train_points, data.train_labels
     rows = np.random.default_rng(11).integers(0, y.size, y.size)
-    expected = grow_tree(x[rows], y[rows], data.class_count, max_splits=100, min_leaf=1)
+    (expected,) = grow_trees([(x[rows], y[rows])], data.class_count, max_splits=100, min_leaf=1)
     (tree,) = bagged_trees_train(data, n_trees=1, seed=11).payload.trees
     assert tree.feature.size > 3  # the overlapping blobs need more than one split
     for field in dataclasses.fields(expected):
@@ -311,11 +319,11 @@ def test_ffnn_deterministic_given_seed():
 
 def all_five(data, seed=0):
     return {
-        "complex tree": train_by_name("complex tree", data, seed),
-        "weighted knn": train_by_name("weighted knn", data, seed, k=5),
-        "fine svm": train_by_name("fine svm", data, seed),
-        "feed forward": train_by_name("feed forward", data, seed, epochs=100),
-        "bagged trees": train_by_name("bagged trees", data, seed, n_trees=9),
+        "complex tree": train_by_name("complex tree", [data], [seed])[0],
+        "weighted knn": train_by_name("weighted knn", [data], [seed], k=5)[0],
+        "fine svm": train_by_name("fine svm", [data], [seed])[0],
+        "feed forward": train_by_name("feed forward", [data], [seed], epochs=100)[0],
+        "bagged trees": train_by_name("bagged trees", [data], [seed], n_trees=9)[0],
     }
 
 
@@ -339,8 +347,8 @@ def test_label_permutation_equivariance():
     permuted = dataset(points, permutation[labels])
     queries = rng.normal(4, 3, (30, 2))
     for name in ("complex tree", "weighted knn", "fine svm", "feed forward", "bagged trees"):
-        before, _ = predict(train_by_name(name, base, seed=3), queries)
-        after, _ = predict(train_by_name(name, permuted, seed=3), queries)
+        before, _ = predict(train_by_name(name, [base], [3])[0], queries)
+        after, _ = predict(train_by_name(name, [permuted], [3])[0], queries)
         np.testing.assert_array_equal(permutation[before], after, err_msg=name)
 
 
@@ -370,3 +378,212 @@ def test_trainer_and_spec_check_share_range_rules(name, trainer, params):
         check_classifier(name, params)
     with pytest.raises(ValueError, match=message):
         trainer(dataset([0.0, 1.0], [0, 1]), **params)
+
+
+# --- test-only oracles: one node scanned at a time, one net stepped at a time --------
+
+def oracle_best_split(x, y, class_count, min_leaf):
+    """Largest Gini-impurity decrease over all axis-aligned splits of one node, or None."""
+    n = y.size
+    counts = np.bincount(y, minlength=class_count)
+    parent = (0.0 if n == 0 else float(1.0 - ((counts / n) ** 2).sum())) * n
+    if parent == 0.0 or n < 2 * min_leaf:
+        return None
+    best = None
+    onehot = np.zeros((n, class_count))
+    onehot[np.arange(n), y] = 1.0
+    left_sizes = np.arange(1, n, dtype=np.float64)
+    right_sizes = n - left_sizes
+    for feature in range(x.shape[1]):
+        order = np.argsort(x[:, feature], kind="stable")
+        values = x[order, feature]
+        left_counts = np.cumsum(onehot[order], axis=0)[:-1]
+        right_counts = left_counts[-1] + onehot[order[-1]] - left_counts
+        gini_left = left_sizes - (left_counts**2).sum(axis=1) / left_sizes
+        gini_right = right_sizes - (right_counts**2).sum(axis=1) / right_sizes
+        decrease = parent - gini_left - gini_right
+        admissible = (values[:-1] != values[1:]) & (left_sizes >= min_leaf) & (right_sizes >= min_leaf)
+        decrease[~admissible] = -np.inf
+        i = int(decrease.argmax())
+        if np.isfinite(decrease[i]) and (best is None or decrease[i] > best[0]):
+            best = (float(decrease[i]), feature, (values[i] + values[i + 1]) / 2.0)
+    return best
+
+
+def oracle_grow_tree(x, y, class_count, max_splits, min_leaf) -> DecisionTreeModel:
+    """Best-first CART growth of one tree, one heap push per scanned node."""
+    nodes, fractions = [], []
+    order = itertools.count()
+    heap = []
+
+    def add_leaf(idx):
+        nodes.append([-1, 0.0, -1, -1])
+        fractions.append(np.bincount(y[idx], minlength=class_count) / idx.size)
+        split = oracle_best_split(x[idx], y[idx], class_count, min_leaf)
+        if split is not None:
+            heapq.heappush(heap, (-split[0], next(order), len(nodes) - 1, idx, split[1], split[2]))
+        return len(nodes) - 1
+
+    add_leaf(np.arange(y.size))
+    splits = 0
+    while heap and splits < max_splits:
+        _, _, node, idx, feature, threshold = heapq.heappop(heap)
+        goes_left = x[idx, feature] <= threshold
+        nodes[node] = [feature, threshold, add_leaf(idx[goes_left]), add_leaf(idx[~goes_left])]
+        splits += 1
+    feature, threshold, left, right = (np.array(column) for column in zip(*nodes))
+    return DecisionTreeModel(feature, threshold, left, right, np.vstack(fractions))
+
+
+def oracle_loss_and_grads(net, x, labels):
+    """Cross-entropy and gradients of one unstacked net on one batch."""
+    n = x.shape[0]
+    sigmoid = lambda z: 1.0 / (1.0 + np.exp(-z))
+    a1 = sigmoid(x @ net.w1 + net.b1)
+    a2 = sigmoid(a1 @ net.w2 + net.b2)
+    z = a2 @ net.w3 + net.b3
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    loss = float(-np.log(np.maximum(probs[np.arange(n), labels], 1e-300)).mean())
+    delta3 = probs.copy()
+    delta3[np.arange(n), labels] -= 1.0
+    delta3 /= n
+    delta2 = (delta3 @ net.w3.T) * a2 * (1.0 - a2)
+    delta1 = (delta2 @ net.w2.T) * a1 * (1.0 - a1)
+    return loss, (x.T @ delta1, delta1.sum(axis=0), a1.T @ delta2, delta2.sum(axis=0), a2.T @ delta3, delta3.sum(axis=0))
+
+
+def oracle_ffnn_train(data, hidden, epochs, lr, seed, batch_size) -> FeedForwardNet:
+    """Seeded mini-batch descent, one net and one batch per step."""
+    x, y = data.train_points, data.train_labels
+    rng = np.random.default_rng(seed)
+    net = FeedForwardNet.initialized(x.shape[1], hidden, data.class_count, rng)
+    for _ in range(epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], batch_size):
+            batch = order[start : start + batch_size]
+            loss, grads = oracle_loss_and_grads(net, x[batch], y[batch])
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"loss became {loss}")
+            for weight, grad in zip(net.weights, grads):
+                weight -= lr * grad
+    return net
+
+
+def assert_same_arrays(got, expected, fields):
+    for name in fields:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+TREE_FIELDS = [f.name for f in dataclasses.fields(DecisionTreeModel)]
+NET_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+
+
+@st.composite
+def tree_samples(draw):
+    """Class count and 1-4 samples of unequal sizes; grid values give ties and duplicate rows."""
+    classes = draw(st.integers(2, 9))
+    columns = draw(st.integers(1, 3))
+    # half-precision values keep every midpoint threshold exact and strictly between its neighbours
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0]) if draw(st.booleans()) else st.floats(-100, 100, width=16)
+    samples = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 40))
+        x = draw(arrays(np.float64, (n, columns), elements=values))
+        y = draw(arrays(np.int64, n, elements=st.integers(0, classes - 1)))
+        samples.append((x, y))
+    return classes, samples
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_samples(), st.integers(1, 100), st.integers(1, 3), st.sampled_from([1, 50, trees.SEARCH_BATCH]))
+def test_lockstep_trees_equal_the_per_node_oracle_and_solo_growth(case, budget, min_leaf, search_batch):
+    classes, samples = case
+    # a small search batch splits each round's nodes into several batches
+    with mock.patch.object(trees, "SEARCH_BATCH", search_batch):
+        grown = grow_trees(samples, classes, budget, min_leaf)
+    assert len(grown) == len(samples)
+    for (x, y), tree in zip(samples, grown):
+        assert_same_arrays(tree, oracle_grow_tree(x, y, classes, budget, min_leaf), TREE_FIELDS)
+        assert_same_arrays(tree, grow_trees([(x, y)], classes, budget, min_leaf)[0], TREE_FIELDS)
+
+
+def test_bagged_trees_equal_the_oracle_on_each_bootstrap_sample():
+    rng = np.random.default_rng(17)
+    points, labels = blobs(rng, n_per=30, centers=((0, 0), (2, 1), (1, 2)), spread=1.5)
+    data = dataset(np.round(points, 1), labels)  # rounding makes ties
+    draws = np.random.default_rng(4)
+    rows = [draws.integers(0, labels.size, labels.size) for _ in range(6)]
+    bag = bagged_trees_train(data, n_trees=6, seed=4, max_splits=40, min_leaf=2).payload
+    for tree, idx in zip(bag.trees, rows):
+        expected = oracle_grow_tree(data.points[idx], data.labels[idx], 3, 40, 2)
+        assert_same_arrays(tree, expected, TREE_FIELDS)
+
+
+def ffnn_group(seed, count, n, columns, classes):
+    """count datasets of one train shape and class count."""
+    rng = np.random.default_rng(seed)
+    return [
+        dataset(rng.normal(0, 2, (n, columns)), rng.permutation(np.arange(n) % classes))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 3),
+    n=st.integers(4, 30),
+    columns=st.integers(1, 3),
+    classes=st.integers(2, 4),
+    hidden=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    epochs=st.integers(0, 3),
+    batch_size=st.integers(1, 8),
+)
+def test_lockstep_nets_equal_the_per_step_oracle_and_solo_runs(seed, count, n, columns, classes, hidden, epochs, batch_size):
+    datasets = ffnn_group(seed, count, n, columns, classes)
+    seeds = [seed + i for i in range(count)]
+    models = ffnn_train_many(datasets, seeds, hidden=hidden, epochs=epochs, lr=0.7, batch_size=batch_size)
+    for data, net_seed, model in zip(datasets, seeds, models):
+        expected = oracle_ffnn_train(data, hidden, epochs, 0.7, net_seed, batch_size)
+        assert_same_arrays(model.payload, expected, NET_FIELDS)
+        solo = ffnn_train(data, hidden=hidden, epochs=epochs, lr=0.7, seed=net_seed, batch_size=batch_size)
+        assert_same_arrays(model.payload, solo.payload, NET_FIELDS)
+
+
+def test_ffnn_loss_turning_nan_raises_nonfinite_loss():
+    rng = np.random.default_rng(18)
+    points, labels = blobs(rng, n_per=20)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss, match="^loss became nan$"):
+        ffnn_train(dataset(points, labels), lr=1e308)
+
+
+def test_nonfinite_loss_fails_only_its_net_in_a_lockstep_group():
+    datasets = ffnn_group(19, 3, 24, 2, 3)
+    poisoned = datasets[1].points.copy()
+    poisoned[5, 0] = np.nan  # the net's loss is nan at the first batch holding row 5
+    datasets[1] = dataset(poisoned, datasets[1].labels)
+    models = train_by_name("feed forward", datasets, [7, 8, 9], epochs=20, batch_size=5)
+    assert isinstance(models[1], NonFiniteLoss) and str(models[1]) == "loss became nan"
+    for data, seed, model in zip(datasets[::2], (7, 9), models[::2]):
+        assert_same_arrays(model.payload, ffnn_train(data, epochs=20, seed=seed, batch_size=5).payload, NET_FIELDS)
+
+
+def test_train_by_name_groups_lockstep_datasets_by_shape_and_returns_them_in_order():
+    short, long = ffnn_group(20, 2, 12, 2, 2), ffnn_group(21, 1, 15, 2, 2)
+    datasets = [short[0], long[0], short[1]]
+    for name in ("complex tree", "feed forward"):
+        models = train_by_name(name, datasets, [1, 2, 3], **({"epochs": 5} if name == "feed forward" else {}))
+        for data, seed, model in zip(datasets, (1, 2, 3), models):
+            alone = train_by_name(name, [data], [seed], **({"epochs": 5} if name == "feed forward" else {}))[0]
+            assert model.input_dim == data.points.shape[1]
+            np.testing.assert_array_equal(predict(model, data.points)[1], predict(alone, data.points)[1])
+
+
+def test_train_by_name_returns_each_datasets_pipeline_error():
+    small, large = dataset([0.0, 1.0], [0, 1]), dataset([0.0, 1.0, 2.0, 3.0], [0, 1, 0, 1])
+    models = train_by_name("weighted knn", [small, large], [0, 0], k=3)
+    assert isinstance(models[0], KTooLarge)
+    assert predict(models[1], [[0.5]])[0].shape == (1,)

@@ -55,6 +55,14 @@ def test_vad_roundtrip(cli_corpus, tmp_path):
     assert first["start_seconds"] >= 0.2  # leading silence removed
 
 
+def test_vad_rejects_a_negative_min_segment(cli_corpus, tmp_path, capsys):
+    wav = next(iter(sorted(cli_corpus.glob("*.wav"))))
+    out = tmp_path / "trimmed.wav"
+    assert main(["vad", "--in", str(wav), "--out", str(out), "--min-segment-ms", "-5"]) == 2
+    assert capsys.readouterr().err == "error: min_segment_ms must be >= 0, got -5.0\n"
+    assert not out.exists()
+
+
 def test_extract_single_wav(cli_corpus, tmp_path):
     wav = next(iter(sorted(cli_corpus.glob("*.wav"))))
     out = tmp_path / "feats.csv"
@@ -325,7 +333,9 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"extractors": [{"num_ceps": 12}]}, "grid 'extractors' entry {'num_ceps': 12} must be an object with a 'kind' key"),
         ({"classifiers": [{"k": 3}]}, "grid 'classifiers' entry {'k': 3} must be an object with a 'name' key"),
         ({"reducers": [{"dim": 2}]}, "grid 'reducers' entry {'dim': 2} must be an object with a 'method' key"),
-        ({"extractors": [{"kind": "mfcc", "bogus": 1}]}, "unexpected keyword argument 'bogus'"),
+        ({"extractors": [{"kind": "mfcc", "bogus": 1}]},
+         "extractor 'mfcc' takes no parameter bogus; it takes pre_emphasis_a, frame_ms, hop_ms, fft_size, "
+         "filter_count, lpc_order_q, num_ceps, dct_kind, include_c0"),
         ({"extractors": ["mfcc"]}, "grid 'extractors' entry 'mfcc' must be an object"),
         ([1, 2], "a grid file must hold one JSON object"),
         ({"classifiers": [{"name": "weighted knn", "bogus": 1}]}, "classifier 'weighted knn' takes no parameter bogus"),
@@ -374,6 +384,8 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"scaling_curve": 0}, "grid 'scaling_curve' must be an object"),
         ({"scaling_curve": False}, "grid 'scaling_curve' must be an object"),
         ({"scaling_curve": None}, "grid 'scaling_curve' must be an object"),
+        ({"reducers": [{"method": "pca", "bogus": 1}]},
+         "reducer 'pca' takes no parameter bogus; it takes target_dim, perplexity, max_iter, learning_rate, kernel"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
