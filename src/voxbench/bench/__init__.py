@@ -29,7 +29,6 @@ from .reports import (
     REFERENCE_NOTE,
     REFERENCE_SCALING,
     load_report_json,
-    write_roc_csv,
 )
 
 __all__ = [
@@ -56,6 +55,5 @@ __all__ = [
     "run_sweep",
     "save_manifest",
     "speaker_scaling_curve",
-    "write_roc_csv",
     "write_sweep_outputs",
 ]

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ..audio_io import AudioSignal, write_wav
+from .reports import write_csv
 
 SILENCE_LEAD_SECONDS = 0.25
 SILENCE_NOISE_AMP = 5e-5
@@ -75,11 +76,7 @@ class CorpusManifest:
 
 
 def save_manifest(manifest: CorpusManifest, csv_path) -> None:
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for entry in manifest.entries:
-            writer.writerow([entry.path, entry.speaker, entry.sample])
+    write_csv(csv_path, MANIFEST_COLUMNS, ([e.path, e.speaker, e.sample] for e in manifest.entries))
 
 
 def load_manifest(csv_path) -> CorpusManifest:

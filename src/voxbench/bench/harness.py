@@ -32,9 +32,8 @@ from .reports import (
     REFERENCE_NOTE,
     REFERENCE_SCALING,
     format_float,
-    write_grid_table,
+    write_csv,
     write_report_json,
-    write_scaling_curve,
 )
 
 REDUCER_NAMES = ("sne", "pca")
@@ -277,6 +276,13 @@ def _failure(exc: PipelineError, where: Optional[str] = None) -> str:
     return f"{type(exc).__name__}: {exc}" if where is None else f"{type(exc).__name__}: {where}: {exc}"
 
 
+def corpus_sample_rate(signal, sample_rate: Optional[int]) -> int:
+    """signal's sample rate; PipelineError unless it equals the corpus's sample_rate, where that is known."""
+    if sample_rate is not None and signal.sample_rate != sample_rate:
+        raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
+    return signal.sample_rate
+
+
 def _frame_tables(
     manifest: CorpusManifest, extractors, settings: HarnessSettings
 ) -> tuple[dict[str, FrameTable], dict[str, str]]:
@@ -300,10 +306,7 @@ def _frame_tables(
             failures.update((extractor.kind, _failure(exc)) for extractor in live)
             continue
         try:
-            if sample_rate is None:
-                sample_rate = signal.sample_rate
-            elif signal.sample_rate != sample_rate:
-                raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
+            sample_rate = corpus_sample_rate(signal, sample_rate)
             model = fit_silence_model(signal)
             with warnings.catch_warnings():
                 # speech-dense recordings trip the contamination warning by design
@@ -428,12 +431,9 @@ def _grid_entries(
 # --- full sweep -------------------------------------------------------------------
 
 def _manifest_metadata(manifest: CorpusManifest) -> dict:
-    per_speaker: dict[int, int] = {}
-    for entry in manifest.entries:
-        per_speaker[entry.speaker] = per_speaker.get(entry.speaker, 0) + 1
     return {
         "files": [e.path for e in manifest.entries],
-        "speakers": len(per_speaker),
+        "speakers": len(manifest.speaker_ids),
         "recordings": len(manifest.entries),
         "sample_rate": manifest.sample_rate,
     }
@@ -505,28 +505,29 @@ def write_sweep_outputs(report: dict, out_dir) -> None:
     write_report_json(report, out_dir / "report.json")
 
     entries = report["combinations"]
-    by_key = {(e["reducer"], e["extractor"], e["classifier"]): e for e in entries}
-    reducers = sorted({e["reducer"] for e in entries})
+    ok = {(e["reducer"], e["extractor"], e["classifier"]): e for e in entries if e["status"] == "ok"}
     extractors = list(dict.fromkeys(e["extractor"] for e in entries))
     classifiers = list(dict.fromkeys(e["classifier"] for e in entries))
-
     tables = (
         ("accuracy", "frame_accuracy_pct", format_float),
         ("distinguishable", "distinguishable_count", str),
     )
-    for reducer in reducers:
+    for reducer in sorted({e["reducer"] for e in entries}):
         for table, field_name, formatter in tables:
-            # write_grid_table calls cell_of before the loop moves on
-            def cell_of(classifier, extractor):
-                entry = by_key.get((reducer, extractor, classifier))
-                if entry is None or entry["status"] != "ok":
-                    return None
-                return formatter(entry[field_name])
+            # rows = classifiers, columns = extractors; a failed or missing cell reads "failed"
+            rows = []
+            for classifier in classifiers:
+                keys = [(reducer, extractor, classifier) for extractor in extractors]
+                rows.append([classifier, *(formatter(ok[key][field_name]) if key in ok else "failed" for key in keys)])
+            write_csv(out_dir / f"{table}_{reducer}.csv", ["classifier", *extractors], rows)
 
-            write_grid_table(out_dir / f"{table}_{reducer}.csv", cell_of, classifiers, extractors)
-
-    if "rows" in report.get("scaling_curve", {}):
-        write_scaling_curve(out_dir / "scaling_curve.csv", report["scaling_curve"]["rows"])
+    curve = report.get("scaling_curve", {})
+    if "rows" in curve:
+        rows = [
+            [count, format_float(accuracy), "" if delta is None else format_float(delta)]
+            for count, accuracy, delta in curve["rows"]
+        ]
+        write_csv(out_dir / "scaling_curve.csv", ["speakers", "accuracy_pct", "delta_per_speaker"], rows)
 
 
 # --- speaker scaling curve ---------------------------------------------------------

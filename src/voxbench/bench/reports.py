@@ -1,4 +1,4 @@
-"""Report serialization: the full JSON plus table-shaped CSV mirrors.
+"""Serialization: the one CSV writer and the one JSON writer that every voxbench table and report goes through.
 
 All floats are written with six significant digits so repeated runs of the
 same seed compare byte-for-byte.
@@ -74,43 +74,23 @@ def round_floats(value):
     return value
 
 
+def write_csv(path, header, rows) -> None:
+    """The header row, then each row, in the default csv dialect (\\r\\n line ends, minimal quoting).
+
+    Callers format their own floats with format_float.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_report_json(report: dict, path) -> None:
+    """report with round_floats applied, as indented JSON with sorted keys and a final newline."""
     payload = round_floats(report)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def write_grid_table(path, cell_of, classifiers, extractors) -> None:
-    """Rows = classifiers, columns = extractors; cell_of returns str or None."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["classifier", *extractors])
-        for name in classifiers:
-            row = [name]
-            for extractor in extractors:
-                cell = cell_of(name, extractor)
-                row.append("failed" if cell is None else cell)
-            writer.writerow(row)
-
-
-def write_scaling_curve(path, rows) -> None:
-    """Rows of (speaker_count, accuracy_pct, delta_per_speaker or None)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["speakers", "accuracy_pct", "delta_per_speaker"])
-        for count, accuracy, delta in rows:
-            writer.writerow(
-                [count, format_float(accuracy), "" if delta is None else format_float(delta)]
-            )
-
-
-def write_roc_csv(path, points) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fpr", "tpr"])
-        for fpr, tpr in points:
-            writer.writerow([format_float(fpr), format_float(tpr)])
 
 
 def load_report_json(path) -> dict:
@@ -126,8 +106,6 @@ __all__ = [
     "format_float",
     "load_report_json",
     "round_floats",
-    "write_grid_table",
+    "write_csv",
     "write_report_json",
-    "write_roc_csv",
-    "write_scaling_curve",
 ]

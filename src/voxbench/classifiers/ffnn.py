@@ -95,8 +95,8 @@ def ffnn_train_many(
 
     The datasets must share train shape and class count. Each net keeps its
     own generator, initial weights and per-epoch order, and ends equal to
-    the net trained alone. A net whose loss turns non-finite leaves the stack
-    and its entry is the NonFiniteLoss; the others train on.
+    the net trained alone. A net whose loss turns non-finite gets the
+    NonFiniteLoss of its first such batch as its entry; the others train on.
     """
     check_counts({"hidden": hidden, "batch_size": batch_size})
     if len({(data.train_points.shape, data.class_count) for data in datasets}) > 1:
@@ -107,30 +107,28 @@ def ffnn_train_many(
     nets = [FeedForwardNet.initialized(x.shape[2], hidden, datasets[0].class_count, rng) for rng in rngs]
     stack = FeedForwardNet(*(np.stack(weights) for weights in zip(*(net.weights for net in nets))))
     results: list = [None] * len(datasets)
-    live = np.arange(len(datasets))  # the dataset of each stacked net
 
     n = x.shape[1]
-    for _ in range(epochs):
-        if not live.size:
-            break
-        order = np.stack([rngs[i].permutation(n) for i in live])
-        xs = np.take_along_axis(x, order[..., None], axis=1)
-        ys = np.take_along_axis(y, order, axis=1)
-        for start in range(0, n, batch_size):
-            batch = slice(start, start + batch_size)
-            loss, grads = stack.loss_and_grads(xs[:, batch], ys[:, batch])
-            finite = np.isfinite(loss)
-            if not finite.all():
-                for i, value in zip(live[~finite], loss[~finite]):
-                    results[i] = NonFiniteLoss(f"loss became {value}")
-                live, x, y, xs, ys = live[finite], x[finite], y[finite], xs[finite], ys[finite]
-                stack = FeedForwardNet(*(weight[finite] for weight in stack.weights))
-                grads = [grad[finite] for grad in grads]
-            for weight, grad in zip(stack.weights, grads):
-                weight -= lr * grad
-    for row, i in enumerate(live):
-        net = FeedForwardNet(*(weight[row].copy() for weight in stack.weights))
-        results[i] = TrainedClassifier.fitted("feed forward", net, datasets[i])
+    # a diverged net overflows to inf and nan; its stacked slice never mixes with the others
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            if all(result is not None for result in results):
+                break
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            xs = np.take_along_axis(x, order[..., None], axis=1)
+            ys = np.take_along_axis(y, order, axis=1)
+            for start in range(0, n, batch_size):
+                batch = slice(start, start + batch_size)
+                loss, grads = stack.loss_and_grads(xs[:, batch], ys[:, batch])
+                for i in np.flatnonzero(~np.isfinite(loss)):
+                    if results[i] is None:
+                        results[i] = NonFiniteLoss(f"loss became {loss[i]}")
+                for weight, grad in zip(stack.weights, grads):
+                    weight -= lr * grad
+    for i, data in enumerate(datasets):
+        if results[i] is None:
+            net = FeedForwardNet(*(weight[i].copy() for weight in stack.weights))
+            results[i] = TrainedClassifier.fitted("feed forward", net, data)
     return results
 
 

@@ -115,8 +115,11 @@ def _best_splits(xt, y, rows, node, sizes, class_count, min_leaf):
     split = best > -np.inf
     hits = (decrease.ravel()[feature[node] * m + np.arange(m)] == best[node]).nonzero()[0]
     at = feature[split] * m + hits[np.searchsorted(hits, starts[split])]
+    lower, upper = values.ravel()[at], values.ravel()[at + 1]
+    midpoint = (lower + upper) / 2.0
     threshold = np.zeros(nodes)
-    threshold[split] = (values.ravel()[at] + values.ravel()[at + 1]) / 2.0
+    # the midpoint of two adjacent floats can round to the upper one, which would send both sides left
+    threshold[split] = np.where(midpoint == upper, lower, midpoint)
     feature[~split] = -1
     return fractions, best, feature, threshold
 

@@ -25,10 +25,15 @@ from .bench import (
     load_report_json,
     roc_auc,
     run_sweep,
-    write_roc_csv,
 )
-from .bench.harness import DEFAULT_MAX_FRAMES_PER_FILE, DEFAULT_RECALL_THRESHOLD, REDUCER_NAMES, default_grid
-from .bench.reports import format_float
+from .bench.harness import (
+    DEFAULT_MAX_FRAMES_PER_FILE,
+    DEFAULT_RECALL_THRESHOLD,
+    REDUCER_NAMES,
+    corpus_sample_rate,
+    default_grid,
+)
+from .bench.reports import format_float, write_csv, write_report_json
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError, check_parameter_names
 from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config, extract
@@ -39,7 +44,7 @@ from .preprocessing import (
     fit_silence_model,
     remove_silence,
 )
-from .reduction import SNE_KERNELS, SneConfig, pca_fit, pca_transform, sne_fit
+from .reduction import SNE_KERNELS, SneConfig, reduce_for_pipeline
 
 MODEL_FORMAT = "voxbench-model"
 MODEL_FORMAT_VERSION = 1
@@ -62,11 +67,10 @@ def _fail(message: str) -> int:
 
 def write_feature_csv(path, rows, coeff_count, prefix):
     """Rows of (source, speaker, frame, vector) with c1..cN / y1..yN columns."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "speaker", "frame", *(f"{prefix}{i+1}" for i in range(coeff_count))])
-        for source, speaker, frame, vector in rows:
-            writer.writerow([source, speaker, frame, *(format_float(v) for v in vector)])
+    header = ["source", "speaker", "frame", *(f"{prefix}{i+1}" for i in range(coeff_count))]
+    write_csv(
+        path, header, ([source, speaker, frame, *map(format_float, vector)] for source, speaker, frame, vector in rows)
+    )
 
 
 def read_feature_csv(path):
@@ -125,8 +129,8 @@ def cmd_vad(args) -> int:
                 {
                     "start_sample": int(s),
                     "end_sample": int(e),
-                    "start_seconds": float(format_float(s / signal.sample_rate)),
-                    "end_seconds": float(format_float(e / signal.sample_rate)),
+                    "start_seconds": s / signal.sample_rate,
+                    "end_seconds": e / signal.sample_rate,
                 }
                 for s, e in result.segments
             ],
@@ -134,9 +138,7 @@ def cmd_vad(args) -> int:
             "trimmed_samples": len(result.trimmed),
             "sample_rate": signal.sample_rate,
         }
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_report_json(payload, args.report)
     print(f"kept {len(result.trimmed)} of {len(signal)} samples in {len(result.segments)} segments")
     return 0
 
@@ -157,11 +159,16 @@ def cmd_extract(args) -> int:
         jobs = [(manifest.resolve(e), e.path, e.speaker) for e in manifest.entries]
     else:
         jobs = [(in_path, in_path.name, -1)]
+    sample_rate = None
     for wav_path, source, speaker in jobs:
-        signal = load_wav(wav_path)
-        if not args.no_vad:
-            signal = remove_silence(signal, fit_silence_model(signal)).trimmed
-        feats = extract(signal, config)
+        signal = load_wav(wav_path)  # its errors name the file
+        try:
+            sample_rate = corpus_sample_rate(signal, sample_rate)
+            if not args.no_vad:
+                signal = remove_silence(signal, fit_silence_model(signal)).trimmed
+            feats = extract(signal, config)
+        except PipelineError as exc:  # named as a sweep names its failures
+            raise type(exc)(f"{source}: {exc}") from None
         for frame_idx, vector in enumerate(feats.values):
             rows.append((source, speaker, frame_idx, vector))
     write_feature_csv(args.out_path, rows, config.num_ceps, "c")
@@ -171,32 +178,20 @@ def cmd_extract(args) -> int:
 
 def cmd_reduce(args) -> int:
     sources, speakers, frames, matrix = read_feature_csv(args.in_path)
-    if args.method == "pca":
-        model = pca_fit(matrix, args.dim)
-        reduced = pca_transform(model, matrix)
-        trace = None
-    else:
-        config = SneConfig(
+    # only sne reads the SNE knobs, so pca ignores --perplexity
+    sne_config = None
+    if args.method == "sne":
+        sne_config = SneConfig(
             target_dim=args.dim,
             perplexity=args.perplexity,
             seed=args.seed,
             max_iter=args.max_iter,
             kernel=args.kernel,
         )
-        embedding = sne_fit(matrix, config)
-        reduced = embedding.coords
-        trace = embedding.cost_trace
-    rows = [
-        (source, speaker, frame, vector)
-        for source, speaker, frame, vector in zip(sources, speakers, frames, reduced)
-    ]
-    write_feature_csv(args.out_path, rows, args.dim, "y")
-    if args.trace and trace is not None:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "cost"])
-            for i, cost in enumerate(trace):
-                writer.writerow([i, format_float(cost)])
+    reduced, info = reduce_for_pipeline(matrix, np.ones(len(matrix), bool), args.method, args.dim, sne_config)
+    write_feature_csv(args.out_path, zip(sources, speakers, frames, reduced), args.dim, "y")
+    if args.trace and "cost_trace" in info:
+        write_csv(args.trace, ["iteration", "cost"], ([i, format_float(c)] for i, c in enumerate(info["cost_trace"])))
     print(f"wrote {reduced.shape[0]} x {args.dim} embedding to {args.out_path}")
     return 0
 
@@ -248,13 +243,12 @@ def cmd_predict(args) -> int:
     model = payload["model"]
     sources, _, frames, matrix = read_feature_csv(args.in_path)
     labels, scores = predict(model, matrix)
-    with open(args.out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["source", "frame", "predicted", *(f"score{i}" for i in range(model.class_count))]
-        )
-        for source, frame, label, row in zip(sources, frames, labels, scores):
-            writer.writerow([source, frame, int(label), *(format_float(v) for v in row)])
+    header = ["source", "frame", "predicted", *(f"score{i}" for i in range(model.class_count))]
+    rows = (
+        [source, frame, int(label), *map(format_float, row)]
+        for source, frame, label, row in zip(sources, frames, labels, scores)
+    )
+    write_csv(args.out_path, header, rows)
     print(f"predicted {len(labels)} frames with {model.kind}; wrote {args.out_path}")
     return 0
 
@@ -296,6 +290,8 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: a grid file must hold one JSON object")
+    settings_keys = [f.name for f in dataclasses.fields(HarnessSettings)]
+    check_parameter_names("grid", raw, [f.name for f in dataclasses.fields(SweepGrid)] + settings_keys)
     # a present key always asks for a curve; {} is the default one
     curve = raw.get("scaling_curve", {})
     if not isinstance(curve, dict):
@@ -311,7 +307,7 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
         classifiers=_grid_specs(raw, "classifiers", "name", ClassifierSpec) or default.classifiers,
         scaling_curve=ScalingCurve(**curve) if "scaling_curve" in raw else None,
     )
-    extras = {k: raw[k] for k in ("max_frames_per_file", "recall_threshold") if k in raw}
+    extras = {k: raw[k] for k in settings_keys if k in raw}
     return grid, extras
 
 
@@ -359,7 +355,7 @@ def cmd_roc(args) -> int:
             if key not in curves:
                 return _fail(f"no ROC curve for speaker {args.speaker}")
             points = curves[key]
-            write_roc_csv(args.out_path, points)
+            write_csv(args.out_path, ["fpr", "tpr"], ([format_float(fpr), format_float(tpr)] for fpr, tpr in points))
             print(f"wrote {len(points)} ROC points (AUC {format_float(roc_auc(points))}) to {args.out_path}")
             return 0
     return _fail("no matching combination in the report")

@@ -171,12 +171,15 @@ def windowed_frames(
     values as extracting every frame and selecting afterwards.
     """
     fm = frame_signal(signal, config.frame_ms, config.hop_ms)
-    if config.fft_size < fm.frame_length_samples:
-        raise FrameExceedsFft(
-            f"fft_size must be >= the frame length in samples ({config.fft_size} < {fm.frame_length_samples})"
-        )
     frames = fm.frames[_subsample_rows(fm.frames.shape[0], max_frames)]
     return frames * hamming_window(fm.frame_length_samples)
+
+
+def _fft_magnitudes(frames: np.ndarray, fft_size: int) -> np.ndarray:
+    """|rfft| of each frame at fft_size points; a longer frame would be cut short, so it raises FrameExceedsFft."""
+    if fft_size < frames.shape[1]:
+        raise FrameExceedsFft(f"fft_size must be >= the frame length in samples ({fft_size} < {frames.shape[1]})")
+    return np.abs(np.fft.rfft(frames, fft_size, axis=1))
 
 
 def _project(spectra: np.ndarray, bank: np.ndarray) -> np.ndarray:
@@ -194,7 +197,7 @@ def mel_energies(
     """Per-frame mel filterbank energies of the pre-emphasized signal."""
     emphasized = pre_emphasize(signal, config.pre_emphasis_a)
     frames = windowed_frames(emphasized, config, max_frames=max_frames)
-    magnitude = np.abs(np.fft.rfft(frames, config.fft_size, axis=1))
+    magnitude = _fft_magnitudes(frames, config.fft_size)
     return _project(magnitude, mel_filterbank(config, signal.sample_rate))
 
 
@@ -341,7 +344,7 @@ def bark_band_loudness(
     compressed by the cube root (intensity to loudness).
     """
     frames = windowed_frames(signal, config, max_frames=max_frames)
-    power = np.abs(np.fft.rfft(frames, config.fft_size, axis=1)) ** 2
+    power = _fft_magnitudes(frames, config.fft_size) ** 2
 
     bin_bark = bark_scale(2.0 * np.pi * np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate))
     centers = bark_band_centers(config.filter_count, signal.sample_rate)

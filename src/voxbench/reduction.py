@@ -360,5 +360,6 @@ def reduce_for_pipeline(
             "method": "sne",
             "transductive": True,
             "final_cost": embedding.final_cost,
+            "cost_trace": embedding.cost_trace,
         }
     raise ValueError("method must be 'pca' or 'sne'")

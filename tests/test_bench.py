@@ -4,6 +4,7 @@ import json
 import shutil
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -501,7 +502,8 @@ def test_nonfinite_loss_fails_only_its_cell(small_corpus):
         reducers=(ReducerSpec("pca"),),
         classifiers=(ClassifierSpec("feed forward", {"lr": 1e308}), ClassifierSpec("weighted knn", {"k": 3})),
     )
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         report = run_sweep(small_corpus, grid=grid, settings=FAST)
     status = {entry["classifier"]: (entry["status"], entry.get("failure_reason")) for entry in report["combinations"]}
     assert status == {"feed forward": ("failed", "NonFiniteLoss: loss became nan"), "weighted knn": ("ok", None)}

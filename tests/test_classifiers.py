@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import itertools
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -126,6 +127,17 @@ def test_tree_single_split_on_separable_1d():
     assert (tree.feature[[tree.left[0], tree.right[0]]] == -1).all()
     got, _ = predict(model, data.points)
     np.testing.assert_array_equal(got, data.labels)
+
+
+def test_tree_split_between_adjacent_floats_separates_them():
+    # the midpoint of 1 + 2^-52 and 1 + 2^-51 rounds to the upper value; the threshold must stay below it
+    data = dataset([1.0 + 2.0**-52, 1.0 + 2.0**-51, 0.0], [0, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = tree_train(data, max_splits=100)
+    assert model.payload.feature.size == 5
+    assert not np.isnan(model.payload.fractions).any()
+    np.testing.assert_array_equal(predict(model, data.points)[0], data.labels)
 
 
 def test_tree_pure_data_is_single_leaf():
@@ -406,7 +418,8 @@ def oracle_best_split(x, y, class_count, min_leaf):
         decrease[~admissible] = -np.inf
         i = int(decrease.argmax())
         if np.isfinite(decrease[i]) and (best is None or decrease[i] > best[0]):
-            best = (float(decrease[i]), feature, (values[i] + values[i + 1]) / 2.0)
+            midpoint = (values[i] + values[i + 1]) / 2.0
+            best = (float(decrease[i]), feature, values[i] if midpoint == values[i + 1] else midpoint)
     return best
 
 
@@ -556,7 +569,8 @@ def test_lockstep_nets_equal_the_per_step_oracle_and_solo_runs(seed, count, n, c
 def test_ffnn_loss_turning_nan_raises_nonfinite_loss():
     rng = np.random.default_rng(18)
     points, labels = blobs(rng, n_per=20)
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss, match="^loss became nan$"):
+    with warnings.catch_warnings(), pytest.raises(NonFiniteLoss, match="^loss became nan$"):
+        warnings.simplefilter("error")  # a diverging net prints no RuntimeWarning
         ffnn_train(dataset(points, labels), lr=1e308)
 
 

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxbench.audio_io import AudioSignal, write_wav
+from voxbench.audio_io import AudioSignal, load_wav, write_wav
 from voxbench.bench import ClassifierSpec, HarnessSettings, ReducerSpec, ScalingCurve, harness, speaker_scaling_curve
-from voxbench.bench.reports import write_scaling_curve
+from voxbench.bench.corpus import CorpusManifest, ManifestEntry, save_manifest
+from voxbench.bench.reports import format_float
 from voxbench.cli import _extractor_config_from_args, _grid_from_json, build_parser, main
 from voxbench.errors import PipelineError
 from voxbench.features import ExtractorConfig, default_config
 from voxbench.preprocessing import fit_silence_model, remove_silence
-from voxbench.reduction import SneConfig
+from voxbench.reduction import SneConfig, sne_fit
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +387,10 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"scaling_curve": None}, "grid 'scaling_curve' must be an object"),
         ({"reducers": [{"method": "pca", "bogus": 1}]},
          "reducer 'pca' takes no parameter bogus; it takes target_dim, perplexity, max_iter, learning_rate, kernel"),
+        ({"max_frames_per_fle": 3}, "grid takes no parameter max_frames_per_fle; it takes extractors, reducers, "
+                                    "classifiers, scaling_curve, max_frames_per_file, recall_threshold"),
+        ({"classifier": [{"name": "fine svm"}], "reducers": [{"method": "pca"}]},
+         "grid takes no parameter classifier; it takes extractors, reducers, classifiers"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):
@@ -492,8 +497,11 @@ def test_bench_curve_csv_equals_the_library_curve(small_corpus, tmp_path, grid_n
         master_seed=5,
         settings=HarnessSettings(max_frames_per_file=10),
     )
-    write_scaling_curve(tmp_path / "expected.csv", rows)
-    assert (out / "scaling_curve.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    expected = "speakers,accuracy_pct,delta_per_speaker\r\n" + "".join(
+        f"{count},{format_float(accuracy)},{'' if delta is None else format_float(delta)}\r\n"
+        for count, accuracy, delta in rows
+    )
+    assert (out / "scaling_curve.csv").read_bytes() == expected.encode()
     report = json.loads((out / "report.json").read_text())
     assert report["scaling_curve"]["speaker_counts"] == counts
     assert [row[0] for row in report["scaling_curve"]["rows"]] == counts
@@ -572,3 +580,172 @@ def test_bench_on_a_corrupted_recording_reports_or_fails_cleanly(small_corpus, v
         else:  # a sweep-wide error must at least say which recording is at fault
             assert code == 2 and len(errors) == 1, stderr.getvalue()
             assert small_corpus.entries[victim].path in errors[0]
+
+
+# --- the exact bytes of every file type ------------------------------------------------
+# Each file is CSV with \r\n line endings and minimal quoting, or JSON with sorted keys
+# and a two-space indent, every float at six significant digits.
+
+def test_feature_csv_bytes(tmp_path):
+    features = tmp_path / "features.csv"
+    features.write_text('source,speaker,frame,c1,c2\n"b,c.wav",1,0,0,5\na.wav,0,1,1,5\na.wav,0,2,3.1234567,5\n')
+    out = tmp_path / "embedding.csv"
+    assert main(["reduce", "--in", str(features), "--method", "pca", "--dim", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b"source,speaker,frame,y1\r\n"
+        b'"b,c.wav",1,0,-1.37449\r\n'
+        b"a.wav,0,1,-0.374486\r\n"
+        b"a.wav,0,2,1.74897\r\n"
+    )
+
+
+def test_trace_csv_bytes(tmp_path):
+    features = tmp_path / "features.csv"
+    points = np.random.default_rng(5).normal(size=(8, 3))
+    features.write_text("source,speaker,frame,c1,c2,c3\n" + "".join(
+        f"a.wav,0,{i},{x},{y},{z}\n" for i, (x, y, z) in enumerate(points)
+    ))
+    trace = tmp_path / "trace.csv"
+    assert main(["reduce", "--in", str(features), "--method", "sne", "--perplexity", "2", "--max-iter", "4",
+                 "--seed", "1", "--out", str(tmp_path / "sne.csv"), "--trace", str(trace)]) == 0
+    costs = sne_fit(points, SneConfig(perplexity=2, max_iter=4, seed=1)).cost_trace
+    assert len(costs) == 4
+    expected = "iteration,cost\r\n" + "".join(f"{i},{format_float(cost)}\r\n" for i, cost in enumerate(costs))
+    assert trace.read_bytes() == expected.encode()
+
+
+def test_predictions_csv_bytes(tmp_path):
+    train, queries = tmp_path / "train.csv", tmp_path / "queries.csv"
+    train.write_text("source,speaker,frame,y1\na.wav,0,0,0\nb.wav,1,0,1\n")
+    queries.write_text("source,speaker,frame,y1\nq.wav,,0,0.25\nq.wav,,1,2\n")
+    model, out = tmp_path / "model.pkl", tmp_path / "predictions.csv"
+    assert main(["train", "--in", str(train), "--model", "knn", "--params", "k=2", "--out", str(model)]) == 0
+    assert main(["predict", "--in", str(queries), "--model-file", str(model), "--out", str(out)]) == 0
+    # inverse squared distances 16 : 1.77778 and 0.25 : 1
+    assert out.read_bytes() == b"source,frame,predicted,score0,score1\r\nq.wav,0,0,0.9,0.1\r\nq.wav,1,1,0.2,0.8\r\n"
+
+
+def test_roc_csv_bytes(tmp_path):
+    report = tmp_path / "report.json"
+    curve = [[0.0, 0.0], [1 / 3, 0.5], [1.0, 1.0]]
+    report.write_text(json.dumps({"combinations": [
+        {"extractor": "mfcc", "reducer": "sne", "classifier": "weighted knn", "status": "ok",
+         "roc_curves": {"1": curve}},
+    ]}))
+    out = tmp_path / "roc.csv"
+    assert main(["roc", "--report", str(report), "--speaker", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == b"fpr,tpr\r\n0,0\r\n0.333333,0.5\r\n1,1\r\n"
+
+
+def _tiny_report() -> dict:
+    """A report with a failed cell, a cell missing from the sne grid, and a two-row scaling curve."""
+    def cell(reducer, extractor, classifier, accuracy=None, distinguishable=None):
+        if accuracy is None:
+            return {"reducer": reducer, "extractor": extractor, "classifier": classifier,
+                    "status": "failed", "failure_reason": "KTooLarge: k=10 exceeds 4 training points"}
+        return {"reducer": reducer, "extractor": extractor, "classifier": classifier, "status": "ok",
+                "frame_accuracy_pct": accuracy, "distinguishable_count": distinguishable}
+
+    return {
+        "combinations": [
+            cell("pca", "mfcc", "weighted knn", 200 / 3, 2),
+            cell("pca", "lpcc", "weighted knn"),
+            cell("pca", "mfcc", "fine svm", 100.0, 3),
+            cell("pca", "lpcc", "fine svm", 12.5, 1),
+            cell("sne", "mfcc", "weighted knn", 1e-7, 0),
+        ],
+        "scaling_curve": {"rows": [(2, 100.0, None), (3, 200 / 3, -100 / 3)]},
+    }
+
+
+def test_grid_table_bytes(tmp_path):
+    harness.write_sweep_outputs(_tiny_report(), tmp_path)
+    assert (tmp_path / "accuracy_pca.csv").read_bytes() == (
+        b"classifier,mfcc,lpcc\r\nweighted knn,66.6667,failed\r\nfine svm,100,12.5\r\n"
+    )
+    assert (tmp_path / "distinguishable_pca.csv").read_bytes() == (
+        b"classifier,mfcc,lpcc\r\nweighted knn,2,failed\r\nfine svm,3,1\r\n"
+    )
+    assert (tmp_path / "accuracy_sne.csv").read_bytes() == (
+        b"classifier,mfcc,lpcc\r\nweighted knn,1e-07,failed\r\nfine svm,failed,failed\r\n"
+    )
+
+
+def test_scaling_curve_csv_bytes(tmp_path):
+    harness.write_sweep_outputs(_tiny_report(), tmp_path)
+    assert (tmp_path / "scaling_curve.csv").read_bytes() == (
+        b"speakers,accuracy_pct,delta_per_speaker\r\n2,100,\r\n3,66.6667,-33.3333\r\n"
+    )
+
+
+def test_manifest_bytes(tmp_path):
+    entries = (
+        ManifestEntry("a b.wav", 0, 0),
+        ManifestEntry("a,b.wav", 0, 1),
+        ManifestEntry('say "hi".wav', 1, 0),
+        ManifestEntry("c.wav", 1, 1),
+    )
+    save_manifest(CorpusManifest(entries=entries, root=tmp_path), tmp_path / "manifest.csv")
+    assert (tmp_path / "manifest.csv").read_bytes() == (
+        b'path,speaker,sample\r\na b.wav,0,0\r\n"a,b.wav",0,1\r\n"say ""hi"".wav",1,0\r\nc.wav,1,1\r\n'
+    )
+
+
+def test_vad_report_json_bytes(tmp_path):
+    rng = np.random.default_rng(0)
+    voiced = 0.3 * np.sin(2 * np.pi * 440 * np.arange(3300) / 11025)
+    samples = np.concatenate([rng.normal(0, 1e-3, 3300), voiced, rng.normal(0, 1e-3, 1600)])
+    wav, report = tmp_path / "in.wav", tmp_path / "segments.json"
+    write_wav(wav, AudioSignal(samples=samples, sample_rate=11025))
+    assert main(["vad", "--in", str(wav), "--out", str(tmp_path / "out.wav"), "--report", str(report)]) == 0
+    assert report.read_text() == """{
+  "input_samples": 8200,
+  "sample_rate": 11025,
+  "segments": [
+    {
+      "end_sample": 6600,
+      "end_seconds": 0.598639,
+      "start_sample": 3300,
+      "start_seconds": 0.29932
+    }
+  ],
+  "trimmed_samples": 3300
+}
+"""
+
+
+# --- extract on a manifest names the recording at fault --------------------------------
+
+def _copied_corpus(cli_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, corpus)
+    return corpus, sorted(p.name for p in corpus.glob("*.wav"))
+
+
+def test_extract_vad_failure_names_the_recording(cli_corpus, tmp_path, capsys):
+    corpus, wavs = _copied_corpus(cli_corpus, tmp_path)
+    write_wav(corpus / wavs[1], AudioSignal(samples=np.zeros(16000), sample_rate=16000))
+    out = tmp_path / "feats.csv"
+    assert main(["extract", "--in", str(corpus / "manifest.csv"), "--method", "mfcc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: DegenerateSilence: {wavs[1]}: leading 200 ms is constant; cannot model silence\n"
+    )
+    assert not out.exists()
+
+
+def test_extract_rejects_a_manifest_of_mixed_sample_rates(cli_corpus, tmp_path, capsys):
+    corpus, wavs = _copied_corpus(cli_corpus, tmp_path)
+    resampled = load_wav(corpus / wavs[2]).samples[::2]
+    write_wav(corpus / wavs[2], AudioSignal(samples=resampled, sample_rate=8000))
+    out = tmp_path / "feats.csv"
+    assert main(["extract", "--in", str(corpus / "manifest.csv"), "--method", "mfcc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: PipelineError: {wavs[2]}: sample rate 8000 differs from corpus 16000\n"
+    assert not out.exists()
+
+
+def test_extract_names_an_unreadable_recording_once(cli_corpus, tmp_path, capsys):
+    corpus, wavs = _copied_corpus(cli_corpus, tmp_path)
+    (corpus / wavs[3]).write_bytes(b"not audio")
+    out = tmp_path / "feats.csv"
+    assert main(["extract", "--in", str(corpus / "manifest.csv"), "--method", "mfcc", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: NotWav: {corpus / wavs[3]}: not a RIFF/WAVE file\n"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from voxbench.audio_io import AudioSignal, frame_signal
-from voxbench.errors import FilterbankTooDense
+from voxbench.errors import FilterbankTooDense, FrameExceedsFft
 from voxbench.features import (
     EXTRACTOR_KINDS,
     ExtractorConfig,
@@ -210,3 +210,19 @@ def test_frame_cap_equals_selecting_rows_of_full_extraction(voiced, kind):
 def test_frame_cap_rejects_non_positive_or_fractional(voiced, cap):
     with pytest.raises(ValueError, match="max_frames must be None or an integer >= 1"):
         extract(voiced, default_config("mfcc"), max_frames=cap)
+
+
+# --- fft_size ----------------------------------------------------------------------
+
+def test_lpcc_ignores_fft_size(voiced):
+    # LPC analysis picks its own FFT length, so an fft_size below the frame length is no error
+    base = extract(voiced, default_config("lpcc")).values
+    np.testing.assert_array_equal(extract(voiced, default_config("lpcc", fft_size=256)).values, base)
+    long_frames = default_config("lpcc", frame_ms=40.0)  # 640 samples at 16 kHz, above the default 512
+    assert extract(voiced, long_frames).values.shape == (frame_signal(voiced, 40.0, 10.0).frames.shape[0], 13)
+
+
+@pytest.mark.parametrize("kind", ["mfcc", "plp"])
+def test_fft_shorter_than_frame_raises_for_spectral_extractors(voiced, kind):
+    with pytest.raises(FrameExceedsFft, match=r"^fft_size must be >= the frame length in samples \(256 < 400\)$"):
+        extract(voiced, default_config(kind, fft_size=256))
