@@ -64,6 +64,17 @@ def test_pre_emphasis_preserves_length():
     assert len(pre_emphasize(sig, 0.97)) == len(sig)
 
 
+@pytest.mark.parametrize("kind", EXTRACTOR_KINDS)
+def test_only_mfcc_and_lpcc_pre_emphasize(kind):
+    sig = tone(440, seconds=0.3)
+    weak = extract(sig, default_config(kind, pre_emphasis_a=0.9)).values
+    flat = extract(sig, default_config(kind, pre_emphasis_a=1.0)).values
+    if kind == "plp":
+        np.testing.assert_array_equal(weak, flat)
+    else:
+        assert not np.array_equal(weak, flat)
+
+
 # --- mel scale and filterbank ----------------------------------------------
 
 def test_mel_scale_anchors():
