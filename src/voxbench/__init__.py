@@ -21,10 +21,7 @@ from .features import (
     extract,
     levinson_durbin,
     lpc_to_cepstrum,
-    lpcc,
     mel_scale,
-    mfcc,
-    plp,
     pre_emphasize,
 )
 from .preprocessing import SilenceModel, VoicedSegments, fit_silence_model, remove_silence, standardize
@@ -63,12 +60,9 @@ __all__ = [
     "levinson_durbin",
     "load_wav",
     "lpc_to_cepstrum",
-    "lpcc",
     "mel_scale",
-    "mfcc",
     "pca_fit",
     "pca_transform",
-    "plp",
     "pre_emphasize",
     "predict",
     "reduce_for_pipeline",

@@ -1,7 +1,7 @@
 """Short-term spectral feature extractors: MFCC, LPCC and PLP.
 
-All three share the framing/windowing primitives from audio_io and emit a
-FeatureMatrix of one cepstral vector per frame.
+extract frames the signal once and hands the windowed frames to one back-end
+per kind; each back-end returns one cepstral vector per frame.
 """
 
 from __future__ import annotations
@@ -148,31 +148,25 @@ def mel_filterbank(config: ExtractorConfig, sample_rate: int) -> np.ndarray:
     return bank
 
 
-def check_frame_cap(cap, field: str = "max_frames") -> None:
+def check_frame_cap(cap, field: str) -> None:
     """Raise ValueError naming field unless cap is None or an integer >= 1."""
     if cap is not None and (isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1):
         raise ValueError(f"{field} must be None or an integer >= 1, got {cap!r}")
 
 
-def _subsample_rows(count: int, cap: Optional[int]) -> np.ndarray:
-    """Indices of at most cap evenly spaced rows out of count; None keeps all."""
-    check_frame_cap(cap)
-    if cap is None or count <= cap:
-        return np.arange(count)
-    return np.round(np.linspace(0, count - 1, cap)).astype(int)
-
-
 def windowed_frames(
     signal: AudioSignal, config: ExtractorConfig, max_frames: Optional[int] = None
 ) -> np.ndarray:
-    """Frame a signal, keep max_frames evenly spaced rows, then apply the Hamming taper.
+    """Frame a signal, keep max_frames evenly spaced rows (None keeps all), then apply the Hamming taper.
 
     Every later step is per frame, so selecting rows here gives the same
     values as extracting every frame and selecting afterwards.
     """
-    fm = frame_signal(signal, config.frame_ms, config.hop_ms)
-    frames = fm.frames[_subsample_rows(fm.frames.shape[0], max_frames)]
-    return frames * hamming_window(fm.frame_length_samples)
+    frames = frame_signal(signal, config.frame_ms, config.hop_ms).frames
+    check_frame_cap(max_frames, "max_frames")
+    if max_frames is not None and frames.shape[0] > max_frames:
+        frames = frames[np.round(np.linspace(0, frames.shape[0] - 1, max_frames)).astype(int)]
+    return frames * hamming_window(frames.shape[1])
 
 
 def _fft_magnitudes(frames: np.ndarray, fft_size: int) -> np.ndarray:
@@ -191,32 +185,21 @@ def _project(spectra: np.ndarray, bank: np.ndarray) -> np.ndarray:
     return np.einsum("fk,bk->fb", spectra, bank)
 
 
-def mel_energies(
-    signal: AudioSignal, config: ExtractorConfig, max_frames: Optional[int] = None
-) -> np.ndarray:
-    """Per-frame mel filterbank energies of the pre-emphasized signal."""
-    emphasized = pre_emphasize(signal, config.pre_emphasis_a)
-    frames = windowed_frames(emphasized, config, max_frames=max_frames)
+def mel_energies(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) -> np.ndarray:
+    """Per-frame mel filterbank energies of windowed frames."""
     magnitude = _fft_magnitudes(frames, config.fft_size)
-    return _project(magnitude, mel_filterbank(config, signal.sample_rate))
+    return _project(magnitude, mel_filterbank(config, sample_rate))
 
 
-def mfcc(
-    signal: AudioSignal,
-    config: ExtractorConfig,
-    max_frames: Optional[int] = None,
-) -> FeatureMatrix:
-    """Mel-frequency cepstral coefficients, one row per kept frame."""
-    if config.kind != "mfcc":
-        raise ValueError("config.kind must be 'mfcc'")
-    energies = mel_energies(signal, config, max_frames=max_frames)
-    log_energies = np.log(np.maximum(energies, LOG_FLOOR))
+def _mfcc(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) -> tuple[np.ndarray, int]:
+    """Mel-frequency cepstral coefficients of each frame; no frame is unstable."""
+    log_energies = np.log(np.maximum(mel_energies(frames, config, sample_rate), LOG_FLOOR))
     if config.dct_kind == "dct2":
         ceps = dct(log_energies, type=2, norm="ortho", axis=1)
     else:
         ceps = idct(log_energies, type=2, norm="ortho", axis=1)
     lo = 0 if config.include_c0 else 1
-    return FeatureMatrix(values=ceps[:, lo : lo + config.num_ceps])
+    return ceps[:, lo : lo + config.num_ceps], 0
 
 
 # --- LPC path -------------------------------------------------------------
@@ -300,18 +283,10 @@ def lpc_analysis(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray
     return levinson_durbin_rows(autocorr)
 
 
-def lpcc(
-    signal: AudioSignal,
-    config: ExtractorConfig,
-    max_frames: Optional[int] = None,
-) -> FeatureMatrix:
-    """Linear-prediction cepstral coefficients, one row per kept frame."""
-    if config.kind != "lpcc":
-        raise ValueError("config.kind must be 'lpcc'")
-    emphasized = pre_emphasize(signal, config.pre_emphasis_a)
-    frames = windowed_frames(emphasized, config, max_frames=max_frames)
+def _lpcc(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) -> tuple[np.ndarray, int]:
+    """Linear-prediction cepstral coefficients of each frame, and the unstable frame count."""
     coeffs, _, unstable = lpc_analysis(frames, config.lpc_order_q)
-    return FeatureMatrix(values=lpc_to_cepstrum(coeffs, config.num_ceps), unstable_frames=unstable)
+    return lpc_to_cepstrum(coeffs, config.num_ceps), unstable
 
 
 # --- PLP path -------------------------------------------------------------
@@ -334,20 +309,17 @@ def bark_band_centers(band_count: int, sample_rate: int) -> np.ndarray:
     return BARK_SCALE_RADS * np.sinh(centers_bark / 6.0)
 
 
-def bark_band_loudness(
-    signal: AudioSignal, config: ExtractorConfig, max_frames: Optional[int] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame critical-band loudness and the band centers (rad/s).
+def bark_band_loudness(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) -> np.ndarray:
+    """Per-frame critical-band loudness of windowed frames, bands at bark_band_centers.
 
     Power spectra are integrated through trapezoidal bark-axis windows,
     weighted by the equal-loudness curve at each band center, then
     compressed by the cube root (intensity to loudness).
     """
-    frames = windowed_frames(signal, config, max_frames=max_frames)
     power = _fft_magnitudes(frames, config.fft_size) ** 2
 
-    bin_bark = bark_scale(2.0 * np.pi * np.fft.rfftfreq(config.fft_size, 1.0 / signal.sample_rate))
-    centers = bark_band_centers(config.filter_count, signal.sample_rate)
+    bin_bark = bark_scale(2.0 * np.pi * np.fft.rfftfreq(config.fft_size, 1.0 / sample_rate))
+    centers = bark_band_centers(config.filter_count, sample_rate)
     offsets = np.abs(bin_bark[None, :] - bark_scale(centers)[:, None])
     windows = np.clip(
         (BARK_ZERO_HALF_WIDTH - offsets) / (BARK_ZERO_HALF_WIDTH - BARK_FLAT_HALF_WIDTH),
@@ -357,30 +329,22 @@ def bark_band_loudness(
     if not (windows > 0).any(axis=1).all():
         raise FilterbankTooDense("band spacing is finer than the FFT resolution")
 
-    loudness = np.cbrt(_project(power, windows) * equal_loudness(centers))
-    return loudness, centers
+    return np.cbrt(_project(power, windows) * equal_loudness(centers))
 
 
-def plp(
-    signal: AudioSignal,
-    config: ExtractorConfig,
-    max_frames: Optional[int] = None,
-) -> FeatureMatrix:
-    """Perceptual linear prediction cepstra, one row per kept frame.
+def _plp(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) -> tuple[np.ndarray, int]:
+    """Perceptual linear prediction cepstra of each frame, and the unstable frame count.
 
     The band loudness values are treated as samples of a symmetric spectrum;
     its inverse DFT yields autocorrelation lags for the all-pole fit.
     """
-    if config.kind != "plp":
-        raise ValueError("config.kind must be 'plp'")
-    loudness, _ = bark_band_loudness(signal, config, max_frames=max_frames)
-
+    loudness = bark_band_loudness(frames, config, sample_rate)
     padded = np.concatenate([loudness[:, :1], loudness, loudness[:, -1:]], axis=1)
     symmetric = np.concatenate([padded, padded[:, -2:0:-1]], axis=1)
     autocorr = np.fft.ifft(symmetric, axis=1).real[:, : config.lpc_order_q + 1]
 
     coeffs, _, unstable = levinson_durbin_rows(autocorr)
-    return FeatureMatrix(values=lpc_to_cepstrum(coeffs, config.num_ceps), unstable_frames=unstable)
+    return lpc_to_cepstrum(coeffs, config.num_ceps), unstable
 
 
 def extract(
@@ -388,10 +352,15 @@ def extract(
     config: ExtractorConfig,
     max_frames: Optional[int] = None,
 ) -> FeatureMatrix:
-    """Dispatch to the extractor selected by config.kind.
+    """Cepstra of the extractor selected by config.kind, one row per kept frame.
 
+    mfcc and lpcc frame the pre-emphasized signal; plp frames the signal as
+    it is, because its equal-loudness curve already weights the spectrum.
     max_frames keeps that many evenly spaced frames (None keeps all) and is
     applied before any spectral or LPC work.
     """
-    fn = {"mfcc": mfcc, "lpcc": lpcc, "plp": plp}[config.kind]
-    return fn(signal, config, max_frames=max_frames)
+    source = signal if config.kind == "plp" else pre_emphasize(signal, config.pre_emphasis_a)
+    frames = windowed_frames(source, config, max_frames)
+    back_end = {"mfcc": _mfcc, "lpcc": _lpcc, "plp": _plp}[config.kind]
+    values, unstable = back_end(frames, config, signal.sample_rate)
+    return FeatureMatrix(values=values, unstable_frames=unstable)
