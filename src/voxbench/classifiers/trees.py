@@ -116,10 +116,12 @@ def _best_splits(xt, y, rows, node, sizes, class_count, min_leaf):
     hits = (decrease.ravel()[feature[node] * m + np.arange(m)] == best[node]).nonzero()[0]
     at = feature[split] * m + hits[np.searchsorted(hits, starts[split])]
     lower, upper = values.ravel()[at], values.ravel()[at + 1]
-    midpoint = (lower + upper) / 2.0
+    with np.errstate(over="ignore"):
+        midpoint = (lower + upper) / 2.0
     threshold = np.zeros(nodes)
-    # the midpoint of two adjacent floats can round to the upper one, which would send both sides left
-    threshold[split] = np.where(midpoint == upper, lower, midpoint)
+    # the midpoint of two adjacent floats can round to the upper one, and that of two huge
+    # ones overflow to inf; either would send both sides left, so the lower value stands in
+    threshold[split] = np.where((lower <= midpoint) & (midpoint < upper), midpoint, lower)
     feature[~split] = -1
     return fractions, best, feature, threshold
 

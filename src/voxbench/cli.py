@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import pickle
 import sys
 from pathlib import Path
@@ -73,6 +74,13 @@ def write_feature_csv(path, rows, coeff_count, prefix):
     )
 
 
+def _csv_int(where: str, field: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{where}: {field} must be an integer, got {text!r}") from None
+
+
 def read_feature_csv(path):
     """Returns (sources, speakers, frames, matrix); speaker -1 when unlabeled."""
     sources, speakers, frames, vectors = [], [], [], []
@@ -85,14 +93,20 @@ def read_feature_csv(path):
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) < 3 + value_cols:
-                raise ValueError(
-                    f"{path}: line {reader.line_num} has {len(row)} fields, expected {3 + value_cols}"
-                )
+                raise ValueError(f"{where} has {len(row)} fields, expected {3 + value_cols}")
             sources.append(row[0])
-            speakers.append(int(row[1]) if row[1] not in ("", "None") else -1)
-            frames.append(int(row[2]))
-            vectors.append([float(v) for v in row[3 : 3 + value_cols]])
+            speakers.append(_csv_int(where, "speaker", row[1]) if row[1] not in ("", "None") else -1)
+            frames.append(_csv_int(where, "frame", row[2]))
+            try:
+                vector = [float(v) for v in row[3 : 3 + value_cols]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            bad = [name for name, v in zip(header[3:], vector) if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{where}: non-finite feature value in {', '.join(bad)}")
+            vectors.append(vector)
     if not sources:
         raise ValueError(f"{path}: no data rows")
     return sources, np.array(speakers), np.array(frames), np.array(vectors)
@@ -177,6 +191,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.trace and args.method != "sne":
+        return _fail("--trace writes the SNE cost per iteration; --method pca has no such trace")
     sources, speakers, frames, matrix = read_feature_csv(args.in_path)
     # only sne reads the SNE knobs, so pca ignores --perplexity
     sne_config = None
@@ -190,7 +206,7 @@ def cmd_reduce(args) -> int:
         )
     reduced, info = reduce_for_pipeline(matrix, np.ones(len(matrix), bool), args.method, args.dim, sne_config)
     write_feature_csv(args.out_path, zip(sources, speakers, frames, reduced), args.dim, "y")
-    if args.trace and "cost_trace" in info:
+    if args.trace:
         write_csv(args.trace, ["iteration", "cost"], ([i, format_float(c)] for i, c in enumerate(info["cost_trace"])))
     print(f"wrote {reduced.shape[0]} x {args.dim} embedding to {args.out_path}")
     return 0
@@ -413,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=SNE_KERNELS, default=SneConfig.kernel)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="out_path", required=True)
-    p.add_argument("--trace", help="write the per-iteration cost trace csv")
+    p.add_argument("--trace", help="write the per-iteration SNE cost trace csv (sne only)")
     p.set_defaults(handler=cmd_reduce)
 
     p = sub.add_parser("train", help="train a classifier on an embedding csv")

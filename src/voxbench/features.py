@@ -65,6 +65,12 @@ class ExtractorConfig:
         check_frame_timing(self.frame_ms, self.hop_ms)
         if self.kind == "mfcc":
             _check_mel_filter_count(self.filter_count)
+            # the DCT of filter_count log energies has filter_count coefficients, c0 first
+            kept = self.filter_count - (0 if self.include_c0 else 1)
+            if kept < self.num_ceps:
+                raise ValueError(
+                    f"filter_count {self.filter_count} yields {kept} coefficients, fewer than num_ceps {self.num_ceps}"
+                )
         # plp's symmetric loudness spectrum must yield lpc_order_q + 1 autocorrelation lags
         if self.kind == "plp" and 2 * (self.filter_count + 1) < self.lpc_order_q + 1:
             raise ValueError("filter_count too small for the requested LPC order")

@@ -140,6 +140,18 @@ def test_tree_split_between_adjacent_floats_separates_them():
     np.testing.assert_array_equal(predict(model, data.points)[0], data.labels)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_tree_split_between_huge_values_does_not_overflow(sign):
+    # the midpoint of 1e308 and 1.7e308 overflows to inf; the threshold must stay between the two
+    data = dataset([sign * 1e308, sign * 1.7e308, 0.0], [0, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = tree_train(data, max_splits=100)
+    assert model.payload.feature.size == 5
+    assert np.isfinite(model.payload.threshold).all()
+    np.testing.assert_array_equal(predict(model, data.points)[0], data.labels)
+
+
 def test_tree_pure_data_is_single_leaf():
     model = tree_train(dataset([1.0, 2.0, 3.0], [0, 0, 0]))
     assert model.payload.feature.tolist() == [-1]
@@ -418,8 +430,9 @@ def oracle_best_split(x, y, class_count, min_leaf):
         decrease[~admissible] = -np.inf
         i = int(decrease.argmax())
         if np.isfinite(decrease[i]) and (best is None or decrease[i] > best[0]):
-            midpoint = (values[i] + values[i + 1]) / 2.0
-            best = (float(decrease[i]), feature, values[i] if midpoint == values[i + 1] else midpoint)
+            with np.errstate(over="ignore"):
+                midpoint = (values[i] + values[i + 1]) / 2.0
+            best = (float(decrease[i]), feature, midpoint if values[i] <= midpoint < values[i + 1] else values[i])
     return best
 
 

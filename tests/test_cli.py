@@ -129,6 +129,15 @@ def test_reduce_sne_with_trace(features_csv, tmp_path):
     assert float(trace_rows[-1][1]) < float(trace_rows[1][1])
 
 
+def test_reduce_pca_rejects_trace_before_writing(features_csv, tmp_path, capsys):
+    out, trace = tmp_path / "emb.csv", tmp_path / "trace.csv"
+    assert main(["reduce", "--in", str(features_csv), "--method", "pca",
+                 "--out", str(out), "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --trace writes the SNE cost per iteration; --method pca has no such trace\n"
+    assert not out.exists() and not trace.exists()
+
+
 def test_reduce_header_only_csv_names_the_file(tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("source,speaker,frame,c1,c2\n")
@@ -162,6 +171,28 @@ def test_reduce_blank_header_names_the_file(tmp_path, capsys):
                  "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {blank_header}: header has 0 fields, expected at least 3 (source, speaker, frame)\n"
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("a.wav,0,1,nan,0.25", "line 3: non-finite feature value in c1"),
+        ("a.wav,0,1,0.5,inf", "line 3: non-finite feature value in c2"),
+        ("a.wav,0,1,-inf,NaN", "line 3: non-finite feature value in c1, c2"),
+        ("a.wav,0,1,0.5,abc", "line 3: could not convert string to float: 'abc'"),
+        ("a.wav,x,1,0.5,0.25", "line 3: speaker must be an integer, got 'x'"),
+        ("a.wav,0,1.5,0.5,0.25", "line 3: frame must be an integer, got '1.5'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["reduce", "train"])
+def test_feature_csv_bad_value_names_the_file_and_line(tmp_path, capsys, command, bad_row, message):
+    features = tmp_path / "features.csv"
+    features.write_text(f"source,speaker,frame,c1,c2\na.wav,0,0,0.5,0.25\n{bad_row}\n")
+    out = tmp_path / "out"
+    args = ["--method", "pca"] if command == "reduce" else ["--model", "knn"]
+    assert main([command, "--in", str(features), *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {features}: {message}\n"
+    assert not out.exists()
 
 
 def test_train_rejects_mistyped_parameter(embedding_csv, tmp_path, capsys):
@@ -364,6 +395,8 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"extractors": [{"kind": "mfcc", "frame_ms": 5}]}, "frame_ms must lie in [10, 50]"),
         ({"extractors": [{"kind": "mfcc", "hop_ms": 40}]}, "hop_ms must satisfy 0 < hop_ms <= frame_ms"),
         ({"extractors": [{"kind": "mfcc", "filter_count": 1}]}, "filter_count must be >= 2"),
+        ({"extractors": [{"kind": "mfcc", "filter_count": 10}]},
+         "extractor 'mfcc': filter_count 10 yields 9 coefficients, fewer than num_ceps 13"),
         ({"extractors": [{"kind": "plp", "filter_count": 4}]}, "filter_count too small for the requested LPC order"),
         ({"extractors": [{"kind": "lpcc", "frame_ms": 60}]}, "extractor 'lpcc': frame_ms must lie in [10, 50]"),
         ({"extractors": [{"kind": "plp", "num_ceps": 20}]}, "extractor 'plp': num_ceps must lie in [12, 15]"),
