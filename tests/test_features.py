@@ -200,8 +200,9 @@ def test_mfcc_filter_count_must_cover_num_ceps():
     # the DCT of F log energies has F coefficients, and c0 is dropped unless include_c0
     with pytest.raises(ValueError, match="^filter_count 13 yields 12 coefficients, fewer than num_ceps 13$"):
         default_config("mfcc", filter_count=13)
-    assert extract(tone(440, seconds=0.3), default_config("mfcc", filter_count=14)).values.shape[1] == 13
-    assert extract(tone(440, seconds=0.3), default_config("mfcc", filter_count=13, include_c0=True)).values.shape[1] == 13
+    sig = tone(440, seconds=0.3)
+    assert extract(sig, default_config("mfcc", filter_count=14)).values.shape[1] == 13
+    assert extract(sig, default_config("mfcc", filter_count=13, include_c0=True)).values.shape[1] == 13
 
 
 # --- frame cap ------------------------------------------------------------------
