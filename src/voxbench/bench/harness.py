@@ -271,16 +271,35 @@ def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: Ha
 
 # --- stage graph ------------------------------------------------------------------
 
-def _failure(exc: PipelineError, where: Optional[str] = None) -> str:
-    """'Type: message', or 'Type: where: message' for an error that does not name its file."""
-    return f"{type(exc).__name__}: {exc}" if where is None else f"{type(exc).__name__}: {where}: {exc}"
+def _failure(exc: PipelineError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def corpus_sample_rate(signal, sample_rate: Optional[int]) -> int:
-    """signal's sample rate; PipelineError unless it equals the corpus's sample_rate, where that is known."""
-    if sample_rate is not None and signal.sample_rate != sample_rate:
-        raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
-    return signal.sample_rate
+def recording_features(path, name: str, extractors, sample_rate=None, max_frames=None, trim: bool = True):
+    """The recording's sample rate and, per extractor, its FeatureMatrix or PipelineError.
+
+    Raises a read, sample-rate (unless sample_rate is None) or trimming (unless trim is false) error;
+    trimming silences the contamination warning. Errors not from the reader, which names the file, lead with name.
+    """
+    signal = load_wav(path)
+    try:
+        if sample_rate is not None and signal.sample_rate != sample_rate:
+            raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
+        if trim:
+            model = fit_silence_model(signal)
+            with warnings.catch_warnings():
+                # speech-dense recordings trip the contamination warning by design
+                warnings.simplefilter("ignore")
+                signal = remove_silence(signal, model).trimmed
+    except PipelineError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
+    features = []
+    for extractor in extractors:
+        try:
+            features.append(extract(signal, extractor, max_frames=max_frames))
+        except PipelineError as exc:
+            features.append(type(exc)(f"{name}: {exc}"))
+    return signal.sample_rate, features
 
 
 def _frame_tables(
@@ -301,26 +320,17 @@ def _frame_tables(
         if not live:
             break
         try:
-            signal = load_wav(manifest.resolve(entry))
-        except PipelineError as exc:  # its message names the file
+            sample_rate, features = recording_features(
+                manifest.resolve(entry), entry.path, live, sample_rate, settings.max_frames_per_file
+            )
+        except PipelineError as exc:
             failures.update((extractor.kind, _failure(exc)) for extractor in live)
             continue
-        try:
-            sample_rate = corpus_sample_rate(signal, sample_rate)
-            model = fit_silence_model(signal)
-            with warnings.catch_warnings():
-                # speech-dense recordings trip the contamination warning by design
-                warnings.simplefilter("ignore")
-                trimmed = remove_silence(signal, model).trimmed
-        except PipelineError as exc:
-            failures.update((extractor.kind, _failure(exc, entry.path)) for extractor in live)
-            continue
-        for extractor in live:
-            try:
-                values = extract(trimmed, extractor, max_frames=settings.max_frames_per_file).values
-                blocks[extractor.kind].append(values)
-            except PipelineError as exc:
-                failures[extractor.kind] = _failure(exc, entry.path)
+        for extractor, matrix in zip(live, features):
+            if isinstance(matrix, PipelineError):
+                failures[extractor.kind] = _failure(matrix)
+            else:
+                blocks[extractor.kind].append(matrix.values)
     speaker_to_class = {sid: i for i, sid in enumerate(manifest.speaker_ids)}
     classes = [speaker_to_class[entry.speaker] for entry in manifest.entries]
     tables: dict[str, FrameTable] = {}

@@ -31,13 +31,13 @@ from .bench.harness import (
     DEFAULT_MAX_FRAMES_PER_FILE,
     DEFAULT_RECALL_THRESHOLD,
     REDUCER_NAMES,
-    corpus_sample_rate,
     default_grid,
+    recording_features,
 )
 from .bench.reports import format_float, write_csv, write_report_json
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError, check_parameter_names
-from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config, extract
+from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config
 from .preprocessing import (
     DEFAULT_BLOCK_MS,
     DEFAULT_MIN_SEGMENT_MS,
@@ -175,14 +175,9 @@ def cmd_extract(args) -> int:
         jobs = [(in_path, in_path.name, -1)]
     sample_rate = None
     for wav_path, source, speaker in jobs:
-        signal = load_wav(wav_path)  # its errors name the file
-        try:
-            sample_rate = corpus_sample_rate(signal, sample_rate)
-            if not args.no_vad:
-                signal = remove_silence(signal, fit_silence_model(signal)).trimmed
-            feats = extract(signal, config)
-        except PipelineError as exc:  # named as a sweep names its failures
-            raise type(exc)(f"{source}: {exc}") from None
+        sample_rate, (feats,) = recording_features(wav_path, source, [config], sample_rate, trim=not args.no_vad)
+        if isinstance(feats, PipelineError):
+            raise feats
         for frame_idx, vector in enumerate(feats.values):
             rows.append((source, speaker, frame_idx, vector))
     write_feature_csv(args.out_path, rows, config.num_ceps, "c")
@@ -193,18 +188,12 @@ def cmd_extract(args) -> int:
 def cmd_reduce(args) -> int:
     if args.trace and args.method != "sne":
         return _fail("--trace writes the SNE cost per iteration; --method pca has no such trace")
+    spec = ReducerSpec(
+        args.method, target_dim=args.dim, perplexity=args.perplexity, max_iter=args.max_iter, kernel=args.kernel
+    )
     sources, speakers, frames, matrix = read_feature_csv(args.in_path)
-    # only sne reads the SNE knobs, so pca ignores --perplexity
-    sne_config = None
-    if args.method == "sne":
-        sne_config = SneConfig(
-            target_dim=args.dim,
-            perplexity=args.perplexity,
-            seed=args.seed,
-            max_iter=args.max_iter,
-            kernel=args.kernel,
-        )
-    reduced, info = reduce_for_pipeline(matrix, np.ones(len(matrix), bool), args.method, args.dim, sne_config)
+    mask = np.ones(len(matrix), bool)
+    reduced, info = reduce_for_pipeline(matrix, mask, spec.method, spec.target_dim, spec.sne_config(args.seed))
     write_feature_csv(args.out_path, zip(sources, speakers, frames, reduced), args.dim, "y")
     if args.trace:
         write_csv(args.trace, ["iteration", "cost"], ([i, format_float(c)] for i, c in enumerate(info["cost_trace"])))

@@ -14,8 +14,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxbench.audio_io import AudioSignal, load_wav, write_wav
-from voxbench.bench import ClassifierSpec, HarnessSettings, ReducerSpec, ScalingCurve, harness, speaker_scaling_curve
+from voxbench.bench import (
+    ClassifierSpec,
+    HarnessSettings,
+    ReducerSpec,
+    ScalingCurve,
+    SweepGrid,
+    harness,
+    load_manifest,
+    run_sweep,
+    speaker_scaling_curve,
+)
 from voxbench.bench.corpus import CorpusManifest, ManifestEntry, save_manifest
+from voxbench.bench.harness import REDUCER_NAMES
 from voxbench.bench.reports import format_float
 from voxbench.cli import _extractor_config_from_args, _grid_from_json, build_parser, main
 from voxbench.errors import PipelineError
@@ -43,6 +54,7 @@ def test_synth_writes_corpus(cli_corpus):
     assert (cli_corpus / "manifest.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore:more than 60% of blocks are voiced")
 def test_vad_roundtrip(cli_corpus, tmp_path):
     wav = next(iter(sorted(cli_corpus.glob("*.wav"))))
     out = tmp_path / "trimmed.wav"
@@ -81,6 +93,16 @@ def test_extract_no_vad_skips_the_silence_model(tmp_path):
     out = tmp_path / "feats.csv"
     assert main(["extract", "--in", str(wav), "--method", "mfcc", "--no-vad", "--out", str(out)]) == 0
     assert len(read_csv(out)) > 1
+
+
+@pytest.mark.filterwarnings("error:more than 60% of blocks are voiced")
+def test_extract_silences_the_contamination_warning_as_the_sweep_does(tmp_path):
+    # seed 42 has a recording whose leading 200 ms look voiced
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(corpus), "--speakers", "3", "--samples", "2",
+                 "--seconds", "1", "--seed", "42"]) == 0
+    out = tmp_path / "feats.csv"
+    assert main(["extract", "--in", str(corpus / "manifest.csv"), "--method", "mfcc", "--out", str(out)]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +158,22 @@ def test_reduce_pca_rejects_trace_before_writing(features_csv, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err == "error: --trace writes the SNE cost per iteration; --method pca has no such trace\n"
     assert not out.exists() and not trace.exists()
+
+
+@pytest.mark.parametrize("method", REDUCER_NAMES)
+@pytest.mark.parametrize("key, value", [("max_iter", 0), ("perplexity", 0.5)])
+def test_reduce_flags_are_checked_like_a_grid_reducer(cli_corpus, features_csv, tmp_path, capsys, method, key, value):
+    out = tmp_path / "emb.csv"
+    flag = "--" + key.replace("_", "-")
+    assert main(["reduce", "--in", str(features_csv), "--method", method, flag, str(value), "--out", str(out)]) == 2
+    reduce_err = capsys.readouterr().err
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"reducers": [{"method": method, key: value}]}))
+    assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert reduce_err == capsys.readouterr().err
+    assert reduce_err.startswith(f"error: reducer {method!r}: {key} must be >= 1, got ")
+    assert not out.exists()
 
 
 def test_reduce_header_only_csv_names_the_file(tmp_path, capsys):
@@ -755,30 +793,35 @@ def _copied_corpus(cli_corpus, tmp_path):
     return corpus, sorted(p.name for p in corpus.glob("*.wav"))
 
 
-def test_extract_vad_failure_names_the_recording(cli_corpus, tmp_path, capsys):
+def _silent_wav(path):
+    write_wav(path, AudioSignal(samples=np.zeros(16000), sample_rate=16000))
+
+
+def _wav_at_8_khz(path):
+    write_wav(path, AudioSignal(samples=load_wav(path).samples[::2], sample_rate=8000))
+
+
+def _not_audio(path):
+    path.write_bytes(b"not audio")
+
+
+@pytest.mark.parametrize(
+    "victim, corrupt, reason",
+    [
+        (1, _silent_wav, "DegenerateSilence: {name}: leading 200 ms is constant; cannot model silence"),
+        (2, _wav_at_8_khz, "PipelineError: {name}: sample rate 8000 differs from corpus 16000"),
+        (3, _not_audio, "NotWav: {path}: not a RIFF/WAVE file"),  # named once, by the reader
+    ],
+    ids=["vad", "sample_rate", "unreadable"],
+)
+def test_extract_names_a_failed_recording_as_the_sweep_does(cli_corpus, tmp_path, capsys, victim, corrupt, reason):
     corpus, wavs = _copied_corpus(cli_corpus, tmp_path)
-    write_wav(corpus / wavs[1], AudioSignal(samples=np.zeros(16000), sample_rate=16000))
+    corrupt(corpus / wavs[victim])
+    reason = reason.format(name=wavs[victim], path=corpus / wavs[victim])
     out = tmp_path / "feats.csv"
     assert main(["extract", "--in", str(corpus / "manifest.csv"), "--method", "mfcc", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: DegenerateSilence: {wavs[1]}: leading 200 ms is constant; cannot model silence\n"
-    )
+    assert capsys.readouterr().err == f"error: {reason}\n"
     assert not out.exists()
-
-
-def test_extract_rejects_a_manifest_of_mixed_sample_rates(cli_corpus, tmp_path, capsys):
-    corpus, wavs = _copied_corpus(cli_corpus, tmp_path)
-    resampled = load_wav(corpus / wavs[2]).samples[::2]
-    write_wav(corpus / wavs[2], AudioSignal(samples=resampled, sample_rate=8000))
-    out = tmp_path / "feats.csv"
-    assert main(["extract", "--in", str(corpus / "manifest.csv"), "--method", "mfcc", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: PipelineError: {wavs[2]}: sample rate 8000 differs from corpus 16000\n"
-    assert not out.exists()
-
-
-def test_extract_names_an_unreadable_recording_once(cli_corpus, tmp_path, capsys):
-    corpus, wavs = _copied_corpus(cli_corpus, tmp_path)
-    (corpus / wavs[3]).write_bytes(b"not audio")
-    out = tmp_path / "feats.csv"
-    assert main(["extract", "--in", str(corpus / "manifest.csv"), "--method", "mfcc", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: NotWav: {corpus / wavs[3]}: not a RIFF/WAVE file\n"
+    grid = SweepGrid((default_config("mfcc"),), (ReducerSpec("pca"),), (ClassifierSpec("weighted knn"),))
+    (entry,) = run_sweep(load_manifest(corpus / "manifest.csv"), grid)["combinations"]
+    assert entry["failure_reason"] == reason

@@ -126,6 +126,7 @@ def test_trimmed_is_ordered_subsequence():
     assert flat == sorted(flat)
 
 
+@pytest.mark.filterwarnings("ignore:more than 60% of blocks are voiced")
 def test_raising_threshold_never_adds_voiced_audio():
     rng = np.random.default_rng(9)
     sig = AudioSignal(samples=make_tone_signal(rng, tone_s=1.0, tail_s=0.8), sample_rate=SR)
