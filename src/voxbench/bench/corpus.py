@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
-from ..audio_io import AudioSignal, write_wav
+from ..audio_io import MIN_SAMPLE_RATE, AudioSignal, write_wav
 from .reports import write_csv
 
 SILENCE_LEAD_SECONDS = 0.25
@@ -25,6 +25,7 @@ FORMANT_DETUNE_PER_RECORDING = 0.008
 PULSE_AMP_JITTER = 0.05
 PULSE_PERIOD_JITTER = 0.005
 ASPIRATION_NOISE = 0.01
+IMPULSE_DECAY = 1e-20  # the all-pole response tail left out of the FFT, relative to its start
 MANIFEST_COLUMNS = ("path", "speaker", "sample")
 
 
@@ -141,6 +142,20 @@ def _formant_filter(formants, sample_rate: int) -> np.ndarray:
     return poly
 
 
+def _all_pole(denominator: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x through the stable filter 1 / denominator from rest, as lfilter([1.0], denominator, x).
+
+    The FFT product is a circular convolution. Its length N leaves, past
+    len(x), room for the slowest pole's response to decay below
+    IMPULSE_DECAY, so the wrapped-around tail is below that; N is a power of
+    two because other lengths are several times slower.
+    """
+    slowest = np.abs(np.roots(denominator)).max()
+    tail = math.ceil(math.log(IMPULSE_DECAY) / math.log(slowest))
+    n = 1 << (len(x) + tail - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, n) / np.fft.rfft(denominator, n), n)[: len(x)]
+
+
 def _render_sample(voice: dict, seconds: float, sample_rate: int, rng: np.random.Generator) -> np.ndarray:
     n_total = int(round(seconds * sample_rate))
     n_lead = int(round(SILENCE_LEAD_SECONDS * sample_rate))
@@ -158,7 +173,7 @@ def _render_sample(voice: dict, seconds: float, sample_rate: int, rng: np.random
         position += sample_rate / (pitch * (1.0 + PULSE_PERIOD_JITTER * rng.normal()))
     excitation += ASPIRATION_NOISE * rng.normal(size=n_voiced)
 
-    voiced = lfilter([1.0], _formant_filter(formants, sample_rate), excitation)
+    voiced = _all_pole(_formant_filter(formants, sample_rate), excitation)
     voiced *= VOICED_RMS / np.sqrt(np.mean(voiced**2))
 
     samples = np.concatenate([rng.normal(0.0, SILENCE_NOISE_AMP, n_lead), voiced])[:n_total]
@@ -181,12 +196,21 @@ def generate_synthetic_corpus(
     Each speaker is a pulse train at a speaker-specific pitch through a
     speaker-specific three-formant all-pole filter, with jitter, aspiration
     noise and a leading quarter second of near-silence. Byte-identical for
-    identical arguments.
+    identical arguments. sample_rate must be an integer >= MIN_SAMPLE_RATE
+    and seconds must outlast the silence lead-in; both are checked before
+    anything is written.
     """
     if not 2 <= n_speakers <= 15:
         raise ValueError("n_speakers must lie in [2, 15]")
     if samples_each < 2:
         raise ValueError("need at least two samples per speaker")
+    if not isinstance(sample_rate, int) or sample_rate < MIN_SAMPLE_RATE:
+        raise ValueError(f"sample_rate must be an integer >= {MIN_SAMPLE_RATE} Hz, got {sample_rate!r}")
+    # compared in samples, so that every recording holds at least one voiced sample
+    if not math.isfinite(seconds) or round(seconds * sample_rate) <= round(SILENCE_LEAD_SECONDS * sample_rate):
+        raise ValueError(
+            f"seconds must be finite and longer than the {SILENCE_LEAD_SECONDS} s silence lead-in, got {seconds!r}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

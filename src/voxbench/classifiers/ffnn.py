@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,14 +17,36 @@ DEFAULT_LR = 0.3
 DEFAULT_BATCH = 32
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _affine(x, w, b):
+    z = x @ w
+    z += b[..., None, :]
+    return z
 
 
-def _softmax(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _sigmoid_(z):
+    """1 / (1 + exp(-z)), written over z."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
+
+
+def _softmax_(z):
+    """Softmax along the last axis, written over z."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _packed_views(buffer, shapes) -> list:
+    """(E, *shape) views of consecutive column blocks of an (E, P) buffer."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[:, start : start + size].reshape(buffer.shape[0], *shape))
+        start += size
+    return views
 
 
 @dataclass
@@ -53,9 +76,9 @@ class FeedForwardNet:
         return (self.w1, self.b1, self.w2, self.b2, self.w3, self.b3)
 
     def _activations(self, x):
-        a1 = _sigmoid(x @ self.w1 + self.b1[..., None, :])
-        a2 = _sigmoid(a1 @ self.w2 + self.b2[..., None, :])
-        return a1, a2, _softmax(a2 @ self.w3 + self.b3[..., None, :])
+        a1 = _sigmoid_(_affine(x, self.w1, self.b1))
+        a2 = _sigmoid_(_affine(a1, self.w2, self.b2))
+        return a1, a2, _softmax_(_affine(a2, self.w3, self.b3))
 
     def forward(self, x):
         return self._activations(x)[2]
@@ -63,24 +86,39 @@ class FeedForwardNet:
     def scores(self, queries: np.ndarray) -> np.ndarray:
         return self.forward(queries)
 
+    def backprop(self, x, onehot, grads) -> None:
+        """Write the gradients of the batch-mean cross-entropy into grads.
+
+        onehot is the float one-hot of the labels, (..., m, K); grads holds six
+        arrays shaped like the weights. A net whose softmax output has a NaN
+        row gets a NaN in every entry of its b3 gradient.
+        """
+        grad_w1, grad_b1, grad_w2, grad_b2, grad_w3, grad_b3 = grads
+        a1, a2, delta3 = self._activations(x)
+        delta3 -= onehot
+        delta3 /= x.shape[-2]
+        np.matmul(a2.swapaxes(-1, -2), delta3, out=grad_w3)
+        delta3.sum(axis=-2, out=grad_b3)
+        delta2 = delta3 @ self.w3.swapaxes(-1, -2)
+        delta2 *= a2
+        delta2 *= np.subtract(1.0, a2, out=a2)
+        np.matmul(a1.swapaxes(-1, -2), delta2, out=grad_w2)
+        delta2.sum(axis=-2, out=grad_b2)
+        delta1 = delta2 @ self.w2.swapaxes(-1, -2)
+        delta1 *= a1
+        delta1 *= np.subtract(1.0, a1, out=a1)
+        np.matmul(x.swapaxes(-1, -2), delta1, out=grad_w1)
+        delta1.sum(axis=-2, out=grad_b1)
+
     def loss_and_grads(self, x, labels):
         """Mean cross-entropy over the batch (one per net of a stack) and its weight gradients."""
-        n = x.shape[-2]
-        a1, a2, probs = self._activations(x)
+        probs = self.forward(x)
         onehot = labels[..., None] == np.arange(probs.shape[-1])
         picked = probs[onehot].reshape(labels.shape)
         loss = -np.log(np.maximum(picked, 1e-300)).mean(axis=-1)
-
-        delta3 = (probs - onehot) / n
-        grad_w3 = a2.swapaxes(-1, -2) @ delta3
-        grad_b3 = delta3.sum(axis=-2)
-        delta2 = (delta3 @ self.w3.swapaxes(-1, -2)) * a2 * (1.0 - a2)
-        grad_w2 = a1.swapaxes(-1, -2) @ delta2
-        grad_b2 = delta2.sum(axis=-2)
-        delta1 = (delta2 @ self.w2.swapaxes(-1, -2)) * a1 * (1.0 - a1)
-        grad_w1 = x.swapaxes(-1, -2) @ delta1
-        grad_b1 = delta1.sum(axis=-2)
-        return loss, (grad_w1, grad_b1, grad_w2, grad_b2, grad_w3, grad_b3)
+        grads = tuple(np.empty_like(weight) for weight in self.weights)
+        self.backprop(x, onehot, grads)
+        return loss, grads
 
 
 def ffnn_train_many(
@@ -105,7 +143,14 @@ def ffnn_train_many(
     y = np.stack([data.train_labels for data in datasets])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     nets = [FeedForwardNet.initialized(x.shape[2], hidden, datasets[0].class_count, rng) for rng in rngs]
-    stack = FeedForwardNet(*(np.stack(weights) for weights in zip(*(net.weights for net in nets))))
+    # every weight and gradient of the stack is a view of one buffer, so an update is two calls
+    shapes = [weight.shape for weight in nets[0].weights]
+    params = np.stack([np.concatenate([weight.ravel() for weight in net.weights]) for net in nets])
+    grads, step = np.empty_like(params), np.empty_like(params)
+    stack = FeedForwardNet(*_packed_views(params, shapes))
+    grad_views = _packed_views(grads, shapes)
+    b3_grad = grad_views[-1]
+    classes = np.arange(datasets[0].class_count)
     results: list = [None] * len(datasets)
 
     n = x.shape[1]
@@ -116,15 +161,16 @@ def ffnn_train_many(
                 break
             order = np.stack([rng.permutation(n) for rng in rngs])
             xs = np.take_along_axis(x, order[..., None], axis=1)
-            ys = np.take_along_axis(y, order, axis=1)
+            onehot = (np.take_along_axis(y, order, axis=1)[..., None] == classes).astype(np.float64)
             for start in range(0, n, batch_size):
                 batch = slice(start, start + batch_size)
-                loss, grads = stack.loss_and_grads(xs[:, batch], ys[:, batch])
-                for i in np.flatnonzero(~np.isfinite(loss)):
+                stack.backprop(xs[:, batch], onehot[:, batch], grad_views)
+                # the batch loss is finite unless a softmax row, and with it the b3 gradient, is NaN
+                for i in np.flatnonzero(np.isnan(b3_grad[:, 0])):
                     if results[i] is None:
-                        results[i] = NonFiniteLoss(f"loss became {loss[i]}")
-                for weight, grad in zip(stack.weights, grads):
-                    weight -= lr * grad
+                        results[i] = NonFiniteLoss("loss became nan")
+                np.multiply(grads, lr, out=step)
+                params -= step
     for i, data in enumerate(datasets):
         if results[i] is None:
             net = FeedForwardNet(*(weight[i].copy() for weight in stack.weights))

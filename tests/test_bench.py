@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from voxbench.audio_io import AudioSignal, load_wav, write_wav
-from voxbench.bench import harness
+from voxbench.bench import corpus, harness
 from voxbench.bench import (
     ClassifierSpec,
     HarnessSettings,
@@ -56,6 +56,50 @@ def test_corpus_same_seed_is_byte_identical(tmp_path):
     generate_synthetic_corpus(2, 2, 1.0, seed=5, out_dir=b)
     for name in sorted(p.name for p in a.iterdir()):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+# At 48 kHz the expanded sixth-order denominator has lost digits near DC: lfilter
+# itself is 1.9e-9 off the cascade of the three second-order sections there.
+@pytest.mark.parametrize("sample_rate, rtol", [(8000, 1e-9), (16000, 1e-9), (48000, 1e-8)])
+def test_all_pole_matches_lfilter_on_formant_filters(sample_rate, rtol):
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(sample_rate)
+    x = rng.normal(size=sample_rate // 2)
+    x[:: sample_rate // 150] += 1.0
+    for position in (0.0, 0.5, 1.0):
+        formants = [lo + (hi - lo) * position for lo, hi in corpus.FORMANT_RANGES_HZ]
+        denominator = corpus._formant_filter(formants, sample_rate)
+        want = lfilter([1.0], denominator, x)
+        got = corpus._all_pole(denominator, x)
+        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [
+        ((2, 2, 1.5), 3),
+        ((2, 2, 1.0), 5),
+        ((2, 2, 1.5), 9),
+        ((3, 2, 1.0), 42),
+        ((7, 3, 3.0), 42),
+        ((3, 2, 1.5), 123),
+        ((7, 3, 1.0), 42),
+        ((7, 3, 3.5), 42),
+        ((7, 3, 0.75), 42),
+    ],
+)
+def test_corpus_bytes_equal_the_lfilter_render(tmp_path, monkeypatch, shape, seed):
+    """The test and benchmark corpora are the ones the time-domain recursion writes."""
+    from scipy.signal import lfilter
+
+    generate_synthetic_corpus(*shape, seed=seed, out_dir=tmp_path / "fft")
+    monkeypatch.setattr(corpus, "_all_pole", lambda denominator, x: lfilter([1.0], denominator, x))
+    generate_synthetic_corpus(*shape, seed=seed, out_dir=tmp_path / "lfilter")
+    names = sorted(p.name for p in (tmp_path / "fft").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "lfilter").iterdir())
+    for name in names:
+        assert (tmp_path / "fft" / name).read_bytes() == (tmp_path / "lfilter" / name).read_bytes(), name
 
 
 def test_corpus_speakers_have_distinct_spectra(tmp_path):

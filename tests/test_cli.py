@@ -3,9 +3,12 @@ import csv
 import inspect
 import io
 import json
+import os
 import pickle
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -52,6 +55,38 @@ def test_synth_writes_corpus(cli_corpus):
     wavs = sorted(p.name for p in cli_corpus.glob("*.wav"))
     assert len(wavs) == 4
     assert (cli_corpus / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sample-rate", "0", "sample_rate must be an integer >= 8000 Hz, got 0"),
+        ("--sample-rate", "-16000", "sample_rate must be an integer >= 8000 Hz, got -16000"),
+        ("--sample-rate", "7999", "sample_rate must be an integer >= 8000 Hz, got 7999"),
+        ("--seconds", "0", "seconds must be finite and longer than the 0.25 s silence lead-in, got 0.0"),
+        ("--seconds", "0.01", "seconds must be finite and longer than the 0.25 s silence lead-in, got 0.01"),
+        ("--seconds", "0.25", "seconds must be finite and longer than the 0.25 s silence lead-in, got 0.25"),
+        ("--seconds", "nan", "seconds must be finite and longer than the 0.25 s silence lead-in, got nan"),
+        ("--seconds", "inf", "seconds must be finite and longer than the 0.25 s silence lead-in, got inf"),
+    ],
+)
+def test_synth_rejects_bad_rate_and_length_before_writing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(out), "--speakers", "2", "--samples", "2", flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_import_loads_neither_scipy_signal_nor_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, voxbench.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'signal'], ['scipy', 'stats'])))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.filterwarnings("ignore:more than 60% of blocks are voiced")
