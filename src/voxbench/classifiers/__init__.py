@@ -5,7 +5,7 @@ from __future__ import annotations
 import inspect
 
 from ..errors import PipelineError, check_like_default, check_parameter_names
-from .base import LabeledDataset, TrainedClassifier, check_counts, predict
+from .base import LabeledDataset, TrainedClassifier, check_ranges, predict
 from .ffnn import FeedForwardNet, ffnn_train, ffnn_train_many
 from .knn import knn_train
 from .svm import svm_train
@@ -34,7 +34,7 @@ def check_classifier(name: str, params: dict) -> None:
     check_parameter_names(f"classifier {name!r}", params, defaults)
     for key, value in params.items():
         check_like_default(f"classifier {name!r} parameter {key}", value, defaults[key])
-    check_counts(params, prefix=f"classifier {name!r} parameter ")
+    check_ranges(params, prefix=f"classifier {name!r} parameter ")
 
 
 def train_by_name(name: str, datasets, seeds, **params) -> list:

@@ -9,15 +9,22 @@ import numpy as np
 from ..errors import DimensionMismatch
 
 
-# trainer parameters that count something, so each must be >= 1 (hidden: every layer size)
-COUNT_PARAMETERS = ("k", "min_leaf", "n_trees", "hidden", "batch_size")
+# the least value of each trainer parameter that counts something (hidden: every layer size)
+LOWER_BOUNDS = {"k": 1, "min_leaf": 1, "n_trees": 1, "hidden": 1, "batch_size": 1, "max_splits": 0, "epochs": 0}
+# rates and scales, which must be > 0; None selects the trainer's default
+POSITIVE_PARAMETERS = ("box_c", "kernel_scale", "lr")
 
 
-def check_counts(params: dict, prefix: str = "") -> None:
-    """Raise ValueError if a count parameter among params is below 1; prefix leads the message."""
+def check_ranges(params: dict, prefix: str = "") -> None:
+    """Raise ValueError if a parameter among params lies below its LOWER_BOUNDS entry or is a rate or scale <= 0.
+
+    prefix leads the message.
+    """
     for key, value in params.items():
-        if key in COUNT_PARAMETERS and min(np.atleast_1d(value)) < 1:
-            raise ValueError(f"{prefix}{key} must be >= 1, got {value!r}")
+        if key in LOWER_BOUNDS and not min(np.atleast_1d(value)) >= LOWER_BOUNDS[key]:
+            raise ValueError(f"{prefix}{key} must be >= {LOWER_BOUNDS[key]}, got {value!r}")
+        if key in POSITIVE_PARAMETERS and value is not None and not value > 0:
+            raise ValueError(f"{prefix}{key} must be > 0, got {value!r}")
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

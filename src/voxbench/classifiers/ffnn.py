@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonFiniteLoss
-from .base import LabeledDataset, TrainedClassifier, check_counts
+from .base import LabeledDataset, TrainedClassifier, check_ranges
 
 INIT_HALF_RANGE = 0.5
 DEFAULT_HIDDEN = (20, 10)
@@ -136,7 +136,7 @@ def ffnn_train_many(
     the net trained alone. A net whose loss turns non-finite gets the
     NonFiniteLoss of its first such batch as its entry; the others train on.
     """
-    check_counts({"hidden": hidden, "batch_size": batch_size})
+    check_ranges({"hidden": hidden, "epochs": epochs, "lr": lr, "batch_size": batch_size})
     if len({(data.train_points.shape, data.class_count) for data in datasets}) > 1:
         raise ValueError("lockstep datasets must share train shape and class count")
     x = np.stack([data.train_points for data in datasets])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import KTooLarge
-from .base import LabeledDataset, TrainedClassifier, check_counts, squared_distances
+from .base import LabeledDataset, TrainedClassifier, check_ranges, squared_distances
 
 DISTANCE_EPSILON = 1e-12  # guards exact hits; an on-point query dominates the vote
 
@@ -32,7 +32,7 @@ class WeightedKnnModel:
 
 def knn_train(data: LabeledDataset, k: int = 10) -> TrainedClassifier:
     """Store the training split; all work happens at query time."""
-    check_counts({"k": k})
+    check_ranges({"k": k})
     train = data.train_points
     if k > train.shape[0]:
         raise KTooLarge(f"k={k} exceeds {train.shape[0]} training points")

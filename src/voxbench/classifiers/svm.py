@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import NoConvergence
-from .base import LabeledDataset, TrainedClassifier, squared_distances
+from .base import LabeledDataset, TrainedClassifier, check_ranges, squared_distances
 
 KKT_TOLERANCE = 1e-3
 MIN_ALPHA_STEP = 1e-10
@@ -126,6 +126,7 @@ class SvmModel:
 
 def svm_train(data: LabeledDataset, kernel_scale: float | None = None, box_c: float = 1.0) -> TrainedClassifier:
     """One-vs-one Gaussian-kernel SVMs; scale defaults to sqrt(d)/4 ("fine")."""
+    check_ranges({"kernel_scale": kernel_scale, "box_c": box_c})
     if data.class_count < 2:
         raise ValueError("need at least two classes")
     x, y = data.train_points, data.train_labels

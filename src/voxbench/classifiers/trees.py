@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import LabeledDataset, TrainedClassifier, check_counts
+from .base import LabeledDataset, TrainedClassifier, check_ranges
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def grow_trees(samples, class_count: int, max_splits: int, min_leaf: int) -> lis
 
 def tree_train_many(datasets, max_splits: int = 100, min_leaf: int = 1) -> list[TrainedClassifier]:
     """tree_train on each dataset, all trees grown in lockstep; the datasets must share class and column counts."""
-    check_counts({"min_leaf": min_leaf})
+    check_ranges({"max_splits": max_splits, "min_leaf": min_leaf})
     samples = [(data.train_points, data.train_labels) for data in datasets]
     trees = grow_trees(samples, datasets[0].class_count, max_splits, min_leaf)
     return [TrainedClassifier.fitted("complex tree", tree, data) for tree, data in zip(trees, datasets)]
@@ -272,7 +272,7 @@ def bagged_trees_train(
     min_leaf: int = 1,
 ) -> TrainedClassifier:
     """CART ensemble on seeded bootstrap resamples, majority vote at query time; the trees grow in lockstep."""
-    check_counts({"n_trees": n_trees, "min_leaf": min_leaf})
+    check_ranges({"n_trees": n_trees, "max_splits": max_splits, "min_leaf": min_leaf})
     x, y = data.train_points, data.train_labels
     rng = np.random.default_rng(seed)
     draws = [rng.integers(0, y.size, y.size) for _ in range(n_trees)]

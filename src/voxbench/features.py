@@ -1,17 +1,20 @@
 """Short-term spectral feature extractors: MFCC, LPCC and PLP.
 
 extract frames the signal once and hands the windowed frames to one back-end
-per kind; each back-end returns one cepstral vector per frame.
+per kind; each back-end returns one cepstral vector per frame. The runtime
+needs NumPy only: the MFCC cosine transform runs on numpy.fft, step by step as
+SciPy's pocketfft runs it, so its output equals SciPy's dct/idct bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.fft import dct, idct
 
 from .audio_io import AudioSignal, check_frame_timing, frame_signal, hamming_window
 from .errors import FilterbankTooDense, FrameExceedsFft, UnstableRecursion, check_fields_like_defaults
@@ -197,13 +200,95 @@ def mel_energies(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) 
     return _project(magnitude, mel_filterbank(config, sample_rate))
 
 
+# pocketfft's pi literal, in long double: it rounds its angle step pi/(4m) from long double,
+# and a step computed in double is one ulp off for some n (3, 13, 24 and 26 among them)
+_PI = np.longdouble("3.141592653589793238462643383279502884197")
+_SQRT2 = 1.4142135623730951
+
+
+@functools.lru_cache(maxsize=32)
+def _dct_plan(n: int) -> tuple[np.ndarray, float]:
+    """Twiddles w[i] = cos(pi * (i + 1) / (2n)), i < n - 1, and the scale 1/sqrt(2n), rounded as pocketfft rounds them.
+
+    pocketfft's sincos_2pibyn(4n) takes the angle of index j as the product of
+    two table entries, j & mask and the rest, each evaluated by cos or sin of
+    an angle of at most pi/4, with the angle step rounded from long double.
+    """
+    m = 4 * n
+    step = float(np.longdouble(0.25) * _PI / np.longdouble(m))
+    shift = 1
+    while 4**shift < (m + 2) // 2:
+        shift += 1
+    mask = (1 << shift) - 1
+
+    def cos_sin(j: int) -> tuple[float, float]:
+        x = 8 * j  # j < n, so the angle 2*pi*j/m lies below pi/2
+        if x < m:
+            return math.cos(x * step), math.sin(x * step)
+        return math.sin((2 * m - x) * step), math.cos((2 * m - x) * step)
+
+    w = np.empty(n - 1)
+    for i in range(n - 1):
+        (ar, ai), (br, bi) = cos_sin((i + 1) & mask), cos_sin((i + 1) & ~mask)
+        w[i] = ar * br - ai * bi
+    w.flags.writeable = False
+    return w, float(1 / np.sqrt(np.longdouble(2 * n)))
+
+
+def _dct(x: np.ndarray, kind: str) -> np.ndarray:
+    """Orthonormal DCT-II ("dct2") or its inverse, the DCT-III ("idct"), of each row of x.
+
+    Equal bit for bit to SciPy's dct / idct(x, type=2, norm="ortho", axis=1):
+    the steps and roundings are those of pocketfft's T_dcst23::exec (Makhoul's
+    FFT-based cosine transform), and numpy.fft (NumPy >= 2.0) runs the same
+    pocketfft real transforms. Rows are independent, so a row's result does
+    not depend on the batch it is in.
+    """
+    n = x.shape[1]
+    w, fct = _dct_plan(n)
+    q = (n - 1) // 2  # complex bins between DC and Nyquist
+    k = np.arange(1, (n + 1) // 2)  # the pairs (k, n - k) of the twiddle step
+    kc = n - k
+    wk, wkc = w[k - 1], w[kc - 1]
+    if kind == "dct2":
+        # pocketfft doubles c0 (and an even n's last value), turns each pair (c[2j-1], c[2j])
+        # into (sum, difference) and reads the row as halfcomplex bins [r0, r1, i1, r2, i2, ...]
+        spec = np.zeros((x.shape[0], n // 2 + 1), dtype=np.complex128)
+        spec.real[:, 0] = 2.0 * x[:, 0]
+        odd, even = x[:, 1 : 2 * q : 2], x[:, 2::2]
+        spec.real[:, 1 : q + 1] = odd + even
+        spec.imag[:, 1 : q + 1] = even - odd
+        if n % 2 == 0:
+            spec.real[:, -1] = 2.0 * x[:, -1]
+        c = fct * np.fft.irfft(spec, n, axis=1, norm="forward")
+        # post-twiddle of each pair (k, n - k)
+        t1 = wk * c[:, kc] + wkc * c[:, k]
+        t2 = wk * c[:, k] - wkc * c[:, kc]
+        c[:, k], c[:, kc] = 0.5 * (t1 + t2), 0.5 * (t1 - t2)
+        if n % 2 == 0:
+            c[:, n // 2] *= w[n // 2 - 1]
+        c[:, 0] *= _SQRT2 * 0.5
+        return c
+    # the DCT-III mirrors it: pre-twiddle, forward real FFT read as halfcomplex, then pairs to (difference, sum)
+    c = x.copy()
+    c[:, 0] *= _SQRT2
+    t1, t2 = c[:, k] + c[:, kc], c[:, k] - c[:, kc]
+    c[:, k], c[:, kc] = wk * t2 + wkc * t1, wk * t1 - wkc * t2
+    if n % 2 == 0:
+        c[:, n // 2] *= 2.0 * w[n // 2 - 1]
+    spec = np.fft.rfft(c, axis=1)
+    re, im = fct * spec.real[:, 1 : q + 1], fct * spec.imag[:, 1 : q + 1]
+    c[:, 0] = fct * spec.real[:, 0]
+    c[:, 1 : 2 * q : 2], c[:, 2::2] = re - im, im + re
+    if n % 2 == 0:
+        c[:, -1] = fct * spec.real[:, -1]
+    return c
+
+
 def _mfcc(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) -> tuple[np.ndarray, int]:
     """Mel-frequency cepstral coefficients of each frame; no frame is unstable."""
     log_energies = np.log(np.maximum(mel_energies(frames, config, sample_rate), LOG_FLOOR))
-    if config.dct_kind == "dct2":
-        ceps = dct(log_energies, type=2, norm="ortho", axis=1)
-    else:
-        ceps = idct(log_energies, type=2, norm="ortho", axis=1)
+    ceps = _dct(log_energies, config.dct_kind)
     lo = 0 if config.include_c0 else 1
     return ceps[:, lo : lo + config.num_ceps], 0
 

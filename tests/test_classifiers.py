@@ -404,6 +404,33 @@ def test_trainer_and_spec_check_share_range_rules(name, trainer, params):
         trainer(dataset([0.0, 1.0], [0, 1]), **params)
 
 
+@pytest.mark.parametrize(
+    "name, trainer, params, message",
+    [
+        ("fine svm", svm_train, {"kernel_scale": 0.0}, "kernel_scale must be > 0, got 0.0"),
+        ("fine svm", svm_train, {"box_c": -1.0}, "box_c must be > 0, got -1.0"),
+        ("fine svm", svm_train, {"box_c": float("nan")}, "box_c must be > 0, got nan"),
+        ("feed forward", ffnn_train, {"lr": 0.0}, "lr must be > 0, got 0.0"),
+        ("feed forward", ffnn_train, {"epochs": -1}, "epochs must be >= 0, got -1"),
+        ("complex tree", tree_train, {"max_splits": -3}, "max_splits must be >= 0, got -3"),
+        ("bagged trees", bagged_trees_train, {"max_splits": -1}, "max_splits must be >= 0, got -1"),
+    ],
+)
+def test_rates_scales_and_budgets_are_range_checked(name, trainer, params, message):
+    with pytest.raises(ValueError, match=f"classifier '{name}' parameter {re.escape(message)}"):
+        check_classifier(name, params)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trainer(dataset([0.0, 1.0], [0, 1]), **params)
+
+
+def test_zero_split_budget_and_zero_epochs_stay_legal():
+    data = dataset([0.0, 1.0, 2.0, 3.0], [0, 0, 1, 1])
+    check_classifier("complex tree", {"max_splits": 0})
+    check_classifier("feed forward", {"epochs": 0})
+    assert tree_train(data, max_splits=0).class_count == 2
+    assert ffnn_train(data, epochs=0).class_count == 2
+
+
 # --- test-only oracles: one node scanned at a time, one net stepped at a time --------
 
 def oracle_best_split(x, y, class_count, min_leaf):

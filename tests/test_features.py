@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, strategies as st
 
 from voxbench.audio_io import AudioSignal, frame_signal
 from voxbench.errors import FilterbankTooDense, FrameExceedsFft
 from voxbench.features import (
     EXTRACTOR_KINDS,
+    LOG_FLOOR,
     ExtractorConfig,
+    _dct,
     bark_band_centers,
     bark_band_loudness,
     bark_scale,
@@ -154,6 +157,42 @@ def test_mfcc_c0_toggle_and_idct():
     literal = extract(sig, default_config("mfcc", dct_kind="idct"))
     assert literal.values.shape == without.values.shape
     assert not np.allclose(literal.values, without.values)
+
+
+def scipy_dct(x, kind):
+    transform = scipy.fft.dct if kind == "dct2" else scipy.fft.idct
+    return transform(x, type=2, norm="ortho", axis=1)
+
+
+@pytest.mark.parametrize("n", [*range(2, 65), 101, 128])
+def test_dct_equals_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    # unit normals, wide magnitudes, and values in the range of clamped log energies
+    x = np.concatenate([
+        rng.standard_normal((300, n)),
+        rng.standard_normal((100, n)) * 10.0 ** rng.integers(-6, 7, (100, 1)),
+        rng.uniform(np.log(LOG_FLOOR), 5.0, (100, n)),
+    ])
+    rng.shuffle(x)
+    for kind in ("dct2", "idct"):
+        batch = _dct(x, kind)
+        np.testing.assert_array_equal(batch, scipy_dct(x, kind))
+        np.testing.assert_array_equal(_dct(x[:7], kind), scipy_dct(x[:7], kind))
+        np.testing.assert_array_equal(_dct(x[:7], kind), batch[:7])
+        for i in range(7):
+            np.testing.assert_array_equal(_dct(x[i : i + 1], kind), batch[i : i + 1])
+
+
+@pytest.mark.parametrize("filter_count", [14, 20, 26, 40])
+@pytest.mark.parametrize("kind", ["dct2", "idct"])
+def test_mfcc_equals_the_scipy_dct_of_tone_log_energies(filter_count, kind):
+    config = default_config("mfcc", filter_count=filter_count, dct_kind=kind, include_c0=True)
+    sig = AudioSignal(samples=tone(440).samples + 0.3 * tone(2500).samples, sample_rate=SR)
+    frames = windowed_frames(pre_emphasize(sig, config.pre_emphasis_a), config)
+    log_energies = np.log(np.maximum(mel_energies(frames, config, SR), LOG_FLOOR))
+    expected = scipy_dct(log_energies, kind)
+    np.testing.assert_array_equal(_dct(log_energies, kind), expected)
+    np.testing.assert_array_equal(extract(sig, config).values, expected[:, : config.num_ceps])
 
 
 # --- bark scale --------------------------------------------------------------
