@@ -16,7 +16,8 @@ POSITIVE_PARAMETERS = ("box_c", "kernel_scale", "lr")
 
 
 def check_ranges(params: dict, prefix: str = "") -> None:
-    """Raise ValueError if a parameter among params lies below its LOWER_BOUNDS entry or is a rate or scale <= 0.
+    """Raise ValueError if a parameter among params lies below its LOWER_BOUNDS entry, is a rate or scale <= 0,
+    or is a kernel_scale whose 2*kernel_scale**2 is not a finite normal float.
 
     prefix leads the message.
     """
@@ -25,6 +26,14 @@ def check_ranges(params: dict, prefix: str = "") -> None:
             raise ValueError(f"{prefix}{key} must be >= {LOWER_BOUNDS[key]}, got {value!r}")
         if key in POSITIVE_PARAMETERS and value is not None and not value > 0:
             raise ValueError(f"{prefix}{key} must be > 0, got {value!r}")
+        if key == "kernel_scale" and value is not None and not _kernel_divisor_is_normal(value):
+            raise ValueError(f"{prefix}kernel_scale must make 2*kernel_scale**2 a finite normal float, got {value!r}")
+
+
+def _kernel_divisor_is_normal(scale) -> bool:
+    """Whether 2*scale**2, the Gaussian kernel's divisor, is a finite normal float (0 gives NaN scores, inf a constant kernel)."""
+    with np.errstate(over="ignore", under="ignore"):
+        return bool(np.finfo(np.float64).tiny <= 2.0 * np.float64(scale) ** 2 < np.inf)
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

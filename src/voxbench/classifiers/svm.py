@@ -20,7 +20,8 @@ MARGIN_TIEBREAK = 1e-3  # well below one vote; orders equal-vote classes only
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    return np.exp(-squared_distances(a, b) / (2.0 * scale**2))
+    with np.errstate(over="ignore"):  # a distance far beyond the scale: the kernel is 0
+        return np.exp(-squared_distances(a, b) / (2.0 * scale**2))
 
 
 @dataclass

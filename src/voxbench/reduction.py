@@ -218,32 +218,12 @@ def sne_p_matrix(data, perplexity: Optional[float] = None) -> np.ndarray:
     return symmetrize_conditionals(calibrated_conditionals(*_checked_rows(data, perplexity)))
 
 
-def _gaussian_q(y: np.ndarray, q: np.ndarray, scratch: np.ndarray, p=None):
-    """Write the row-stochastic Gaussian q of the embedding y into q.
-
-    q is the row softmax of -d2, where _sq_distances_into writes d2 as it does
-    for pairwise_sq_distances; scratch is a second n x n buffer. Returns each
-    row's logit maximum m_i and sum of exponentials s_i, and <p, -d2> when p
-    is given.
-    """
-    _sq_distances_into(y, q, scratch)
-    np.negative(q, out=q)
-    p_dot_logits = None if p is None else float(np.vdot(p, q))
-    np.fill_diagonal(q, -np.inf)  # self-probability is zero
-    row_max = q.max(axis=1)
-    q -= row_max[:, None]
-    np.exp(q, out=q)
-    row_sum = q.sum(axis=1)
-    q /= row_sum[:, None]
-    return row_max, row_sum, p_dot_logits
-
-
 def sne_conditional_q(coords) -> np.ndarray:
-    """Row-stochastic Gaussian neighbor probabilities of the embedding."""
-    y = np.asarray(coords, dtype=np.float64)
-    q = np.empty((len(y), len(y)))
-    _gaussian_q(y, q, np.empty_like(q))
-    return q
+    """Row-stochastic Gaussian neighbor probabilities of the embedding: the row softmax of -d2."""
+    q = -pairwise_sq_distances(coords)
+    np.fill_diagonal(q, -np.inf)  # self-probability is zero
+    q = np.exp(q - q.max(axis=1, keepdims=True))
+    return q / q.sum(axis=1, keepdims=True)
 
 
 def _kl(p_support: np.ndarray, log_p_support: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
@@ -268,10 +248,56 @@ def sne_gradient(p_cond: np.ndarray, q_cond: np.ndarray, coords: np.ndarray) -> 
     return 2.0 * (m.sum(axis=1)[:, None] * coords - m @ coords)
 
 
-def _student_t_q(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w = 1.0 / (1.0 + d2)
+def _student_t_q(d2: np.ndarray, q=None) -> tuple[np.ndarray, np.ndarray]:
+    """The joint Student-t q and the kernel w = 1/(1 + d2), which is written over d2; q=None allocates q."""
+    w = np.add(d2, 1.0, out=d2)
+    np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
-    return w / w.sum(), w
+    return np.divide(w, w.sum(), out=q), w
+
+
+def _gaussian_terms(p: np.ndarray) -> tuple:
+    """What _gaussian_step reads of the conditional P, which is overwritten with P + P^T.
+
+    Returns P + P^T, the row and column sums of P and of P + P^T, and sum p log p.
+    """
+    p_positive = p[p > 0]
+    neg_entropy = float(np.dot(p_positive, np.log(p_positive)))
+    del p_positive
+    p_rows, p_cols = p.sum(axis=1), p.sum(axis=0)
+    np.add(p, p.T, out=p)
+    return p, p_rows, p_cols, p.sum(axis=1), neg_entropy
+
+
+def _gaussian_step(y: np.ndarray, terms: tuple, e: np.ndarray) -> tuple[float, np.ndarray]:
+    """sne_cost and sne_gradient of the Gaussian embedding y, without forming q.
+
+    terms comes from _gaussian_terms; e is an n x n buffer. With the logits
+    L_ij = 2 y_i.y_j - |y_j|^2 = |y_i|^2 - d2_ij, their row maxima M_i,
+    E = exp(L - M) and its row sums s_i, q_ij = E_ij / s_i. The |y_i|^2 row
+    offsets cancel in KL = sum p log p - <P, L> + sum_i rowsum(P)_i (M_i + log s_i).
+    The gradient is 2 (rowsum(m) y - m y) with m = P + P^T - Q - Q^T, read from
+    the products of E, E^T and P + P^T with y.
+    """
+    p_sym, p_rows, p_cols, p_sym_rows, neg_entropy = terms
+    ones = np.ones((len(y), 1))
+    sq = (y**2).sum(axis=1)
+    np.matmul(np.hstack([2.0 * y, -ones]), np.hstack([y, sq[:, None]]).T, out=e)  # L
+    np.fill_diagonal(e, -np.inf)  # self-probability is zero
+    row_max = e.max(axis=1)
+    np.subtract(e, row_max[:, None], out=e)
+    np.exp(e, out=e)
+    y1 = np.hstack([y, ones])
+    e_y = e @ y1  # E y and the row sums s
+    row_sum = e_y[:, -1]
+    r = 1.0 / row_sum
+    qt_y = e.T @ (r[:, None] * y1)  # Q^T y and the column sums of Q
+    p_sym_y = p_sym @ y
+    p_dot_logits = np.vdot(y, p_sym_y) - np.dot(p_cols, sq)
+    cost = neg_entropy - p_dot_logits + np.dot(p_rows, row_max + np.log(row_sum))
+    m_rows = p_sym_rows - row_sum * r - qt_y[:, -1]
+    m_y = p_sym_y - r[:, None] * e_y[:, :-1] - qt_y[:, :-1]
+    return float(cost), 2.0 * (m_rows[:, None] * y - m_y)
 
 
 def sne_fit(data, config: SneConfig) -> Embedding:
@@ -281,9 +307,11 @@ def sne_fit(data, config: SneConfig) -> Embedding:
     symmetrized joint. Deterministic given config.seed. Raises NonFiniteCost
     if the optimizer diverges (learning rate too high for the data).
 
-    A Gaussian iteration runs in two n x n buffers, and takes its cost from the
-    row normalisers: with log q_ij = -d2_ij - m_i - log s_i,
-    KL = sum p log p - <p, -d2> + sum_i (sum_j p_ij) (m_i + log s_i).
+    A Gaussian iteration holds two n x n arrays: P + P^T, written over P, and
+    one buffer of exponentials. It takes the cost and the gradient of sne_cost
+    and sne_gradient from the row normalisers and three matrix products
+    (_gaussian_step), so q, p - q and m = pq + pq^T are never formed. A
+    Student-t iteration writes into two n x n buffers besides its joint P.
     """
     x, perplexity = _checked_rows(data, config.perplexity)
     n = x.shape[0]
@@ -293,12 +321,10 @@ def sne_fit(data, config: SneConfig) -> Embedding:
         support = np.flatnonzero(p > 0)
         p_support = p.take(support)
         log_p_support = np.log(p_support)
+        q = np.empty((n, n))
     else:
-        p_positive = p[p > 0]
-        neg_entropy = float(np.dot(p_positive, np.log(p_positive)))
-        del p_positive
-        p_row_sums = p.sum(axis=1)
-        q, m = np.empty((n, n)), np.empty((n, n))
+        terms = _gaussian_terms(p)
+    w = np.empty((n, n))  # E of a Gaussian step; d2, then the kernel, of a Student-t one
 
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, INIT_STD, size=(n, config.target_dim))
@@ -308,17 +334,14 @@ def sne_fit(data, config: SneConfig) -> Embedding:
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for it in range(config.max_iter):
             if config.kernel == "gaussian":
-                row_max, row_sum, p_dot_logits = _gaussian_q(y, q, m, p)
-                cost = neg_entropy - p_dot_logits + float(np.dot(p_row_sums, row_max + np.log(row_sum)))
-                # sne_gradient, with p - q and m = pq + pq^T written into the buffers
-                np.subtract(p, q, out=q)
-                np.add(q, q.T, out=m)
-                grad = 2.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+                cost, grad = _gaussian_step(y, terms, w)
             else:
-                q, w = _student_t_q(pairwise_sq_distances(y))
-                m = (p - q) * w
-                grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+                _sq_distances_into(y, w, q)  # d2 into w; q is scratch
+                _student_t_q(w, q)  # the kernel over d2, the joint q into q
                 cost = _kl(p_support, log_p_support, q, support)
+                m = np.subtract(p, q, out=q)  # (p - q) * w, over q
+                m *= w
+                grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
             if not np.isfinite(cost):
                 raise NonFiniteCost(f"cost diverged at iteration {it}")
             trace[it] = cost

@@ -414,6 +414,10 @@ def test_trainer_and_spec_check_share_range_rules(name, trainer, params):
         ("feed forward", ffnn_train, {"epochs": -1}, "epochs must be >= 0, got -1"),
         ("complex tree", tree_train, {"max_splits": -3}, "max_splits must be >= 0, got -3"),
         ("bagged trees", bagged_trees_train, {"max_splits": -1}, "max_splits must be >= 0, got -1"),
+        ("fine svm", svm_train, {"kernel_scale": 1e-200},
+         "kernel_scale must make 2*kernel_scale**2 a finite normal float, got 1e-200"),
+        ("fine svm", svm_train, {"kernel_scale": 1e200},
+         "kernel_scale must make 2*kernel_scale**2 a finite normal float, got 1e+200"),
     ],
 )
 def test_rates_scales_and_budgets_are_range_checked(name, trainer, params, message):
@@ -421,6 +425,13 @@ def test_rates_scales_and_budgets_are_range_checked(name, trainer, params, messa
         check_classifier(name, params)
     with pytest.raises(ValueError, match=re.escape(message)):
         trainer(dataset([0.0, 1.0], [0, 1]), **params)
+
+
+@pytest.mark.parametrize("kernel_scale", [1.1e-154, 1e153])
+def test_svm_at_the_extreme_legal_kernel_scales_scores_finitely(kernel_scale):
+    data = dataset([0.0, 0.1, 1.0, 1.1], [0, 0, 1, 1])
+    _, scores = predict(svm_train(data, kernel_scale=kernel_scale), [[0.05], [1.05], [7.0]])
+    assert np.isfinite(scores).all()
 
 
 def test_zero_split_budget_and_zero_epochs_stay_legal():

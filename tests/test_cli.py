@@ -282,6 +282,8 @@ def test_train_rejects_mistyped_parameter(embedding_csv, tmp_path, capsys):
         ("ffnn", "lr", -1.0, "classifier 'feed forward' parameter lr must be > 0, got -1.0"),
         ("ffnn", "lr", 0.0, "classifier 'feed forward' parameter lr must be > 0, got 0.0"),
         ("tree", "max_splits", -3, "classifier 'complex tree' parameter max_splits must be >= 0, got -3"),
+        ("svm", "kernel_scale", 1e-200,
+         "classifier 'fine svm' parameter kernel_scale must make 2*kernel_scale**2 a finite normal float, got 1e-200"),
     ],
 )
 def test_train_and_grid_reject_a_meaningless_classifier_setting(

@@ -12,6 +12,9 @@ from voxbench.reduction import (
     MOMENTUM_SWITCH_ITER,
     PERPLEXITY_TOL,
     SneConfig,
+    _gaussian_step,
+    _gaussian_terms,
+    _student_t_q,
     calibrated_conditionals,
     default_perplexity,
     pairwise_sq_distances,
@@ -318,9 +321,57 @@ def test_gaussian_fit_equals_plain_loop_over_public_kernels():
         velocity = momentum * velocity - config.learning_rate * sne_gradient(p, q, y)
         y = y + velocity
     emb = sne_fit(data, config)
-    np.testing.assert_array_equal(emb.coords, y)
-    # the fit takes the same KL from the row normalisers, so only the rounding differs
+    # the fit takes the same KL and gradient from the row normalisers and three products, so only the rounding differs
+    np.testing.assert_allclose(emb.coords, y, rtol=0, atol=1e-12)
     np.testing.assert_allclose(emb.cost_trace, trace, rtol=1e-12)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(23)
+    for n in (3, 30, 294):
+        yield f"n={n}", rng.normal(0, 1, (n, 5)), rng.normal(0, 2, (n, 2))
+    data, y = rng.normal(0, 1, (30, 4)), rng.normal(0, 2, (30, 2))
+    data[7], y[7] = data[3], y[3]
+    yield "duplicated point", data, y
+    # far enough that the other rows' q of it underflows, near enough that its own row's q does not
+    data, y = rng.normal(0, 1, (30, 4)), rng.normal(0, 0.5, (30, 2))
+    data[-1] += 1e3
+    y[-1] = [60.0, 0.0]
+    yield "far point", data, y
+
+
+@pytest.mark.parametrize("case, data, y", [pytest.param(*case, id=case[0]) for case in _oracle_cases()])
+def test_gaussian_step_equals_cost_and_gradient_oracles(case, data, y):
+    p = calibrated_conditionals(data, default_perplexity(len(data)))
+    q = sne_conditional_q(y)
+    if case == "far point":  # every other row's q of the far point underflows to 0
+        assert (q[:-1, -1] == 0).all()
+    expected_cost, expected_grad = sne_cost(p, q), sne_gradient(p, q, y)
+    cost, grad = _gaussian_step(y, _gaussian_terms(p), np.empty_like(p))
+    assert abs(cost - expected_cost) <= 1e-11 * abs(expected_cost)
+    np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-11 * np.abs(expected_grad).max())
+
+
+def test_student_t_fit_equals_plain_loop_over_its_kernel():
+    rng = np.random.default_rng(24)
+    data = np.vstack([rng.normal(0, 1, (15, 4)), rng.normal(6, 1, (15, 4))])
+    config = SneConfig(perplexity=8.0, seed=3, kernel="student-t", learning_rate=30.0,
+                       max_iter=MOMENTUM_SWITCH_ITER + 20)
+    p = sne_p_matrix(data, config.perplexity)
+    y = np.random.default_rng(config.seed).normal(0.0, INIT_STD, size=(30, config.target_dim))
+    velocity = np.zeros_like(y)
+    trace = []
+    for it in range(config.max_iter):
+        q, w = _student_t_q(pairwise_sq_distances(y))
+        trace.append(sne_cost(p, q))
+        m = (p - q) * w
+        grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+        momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else LATE_MOMENTUM
+        velocity = momentum * velocity - config.learning_rate * grad
+        y = y + velocity
+    emb = sne_fit(data, config)
+    np.testing.assert_array_equal(emb.coords, y)
+    np.testing.assert_array_equal(emb.cost_trace, trace)
 
 
 def test_fit_detects_divergence():
