@@ -96,7 +96,9 @@ def load_wav(path) -> AudioSignal:
     pcm = np.frombuffer(raw, dtype="<i2")
     if pcm.size == 0:
         raise EmptyAudio(f"{path}: zero data samples")
-    return AudioSignal(samples=pcm.astype(np.float64) / PCM_SCALE, sample_rate=sample_rate)
+    samples = pcm.astype(np.float64)
+    samples /= PCM_SCALE
+    return AudioSignal(samples=samples, sample_rate=sample_rate)
 
 
 def write_wav(path, signal: AudioSignal) -> None:
@@ -119,8 +121,8 @@ def check_frame_timing(frame_ms: float, hop_ms: float) -> None:
         raise ValueError("frame overlap above 80% is not supported")
 
 
-def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameMatrix:
-    """Slice a signal into overlapping frames; trailing partial frames are dropped."""
+def frame_layout(signal: AudioSignal, frame_ms: float, hop_ms: float) -> tuple[int, int, int]:
+    """Frame length, hop and frame count in samples; trailing partial frames are dropped."""
     check_frame_timing(frame_ms, hop_ms)
     frame_length = int(round(frame_ms * signal.sample_rate / 1000.0))
     hop = int(round(hop_ms * signal.sample_rate / 1000.0))
@@ -128,6 +130,12 @@ def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameMa
         raise SignalTooShort(
             f"signal of {len(signal)} samples is shorter than one {frame_length}-sample frame"
         )
+    return frame_length, hop, (len(signal) - frame_length) // hop + 1
+
+
+def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameMatrix:
+    """Slice a signal into overlapping frames; trailing partial frames are dropped."""
+    frame_length, hop, _ = frame_layout(signal, frame_ms, hop_ms)
     windows = np.lib.stride_tricks.sliding_window_view(signal.samples, frame_length)
     frames = windows[::hop].copy()
     return FrameMatrix(frames=frames, frame_length_samples=frame_length, hop_samples=hop)

@@ -1,7 +1,8 @@
 """Short-term spectral feature extractors: MFCC, LPCC and PLP.
 
-extract frames the signal once and hands the windowed frames to one back-end
-per kind; each back-end returns one cepstral vector per frame. The runtime
+extract picks the frames it keeps before it copies any sample, pre-emphasizes
+(mfcc, lpcc) and tapers only those, and hands them to one back-end per kind;
+each back-end returns one cepstral vector per frame. The runtime
 needs NumPy only: the MFCC cosine transform runs on numpy.fft, step by step as
 SciPy's pocketfft runs it, so its output equals SciPy's dct/idct bit for bit.
 """
@@ -11,12 +12,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .audio_io import AudioSignal, check_frame_timing, frame_signal, hamming_window
+from .audio_io import AudioSignal, check_frame_timing, frame_layout, hamming_window
 from .errors import FilterbankTooDense, FrameExceedsFft, UnstableRecursion, check_fields_like_defaults
 
 LOG_FLOOR = 1e-10  # keeps log of empty bands finite
@@ -32,12 +33,20 @@ DEFAULT_BARK_BANDS = 21
 BARK_FLAT_HALF_WIDTH = 0.5
 BARK_ZERO_HALF_WIDTH = 1.5
 
+# the ExtractorConfig knobs that windowed_frames and each kind's back-end never read
+UNREAD_KNOBS = {
+    "mfcc": ("lpc_order_q",),
+    "lpcc": ("fft_size", "filter_count", "dct_kind", "include_c0"),
+    "plp": ("pre_emphasis_a", "dct_kind", "include_c0"),
+}
+
 
 @dataclass(frozen=True)
 class ExtractorConfig:
     """Knobs shared by the three extractors; see default_config for presets.
 
-    Each knob must have the type of its default.
+    Each knob must have the type of its default, and a knob that the kind
+    never reads (UNREAD_KNOBS) must keep its default.
     """
 
     kind: str
@@ -55,6 +64,12 @@ class ExtractorConfig:
         if self.kind not in EXTRACTOR_KINDS:
             raise ValueError(f"kind must be one of {EXTRACTOR_KINDS}")
         check_fields_like_defaults(self)
+        for knob in fields(self):
+            if knob.name in UNREAD_KNOBS[self.kind] and getattr(self, knob.name) != knob.default:
+                raise ValueError(
+                    f"{self.kind} does not read {knob.name}; it must keep its default {knob.default!r}, "
+                    f"got {getattr(self, knob.name)!r}"
+                )
         if not 0.9 <= self.pre_emphasis_a <= 1.0:
             raise ValueError("pre_emphasis_a must lie in [0.9, 1]")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):
@@ -131,30 +146,38 @@ def mel_filter_edges(filter_count: int, sample_rate: int) -> np.ndarray:
     return mel_to_hz(edges_mel)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 def mel_filterbank(config: ExtractorConfig, sample_rate: int) -> np.ndarray:
-    """Triangular filters with centers uniformly spaced on the mel axis.
+    """Triangular filters with centers uniformly spaced on the mel axis, read-only.
 
     Each triangle rises from the previous center and falls to the next one
     (50% overlap). Rows are evaluated at the FFT bin frequencies.
     """
-    _check_mel_filter_count(config.filter_count)
-    n_bins = config.fft_size // 2 + 1
-    if config.filter_count > n_bins - 2:
-        raise FilterbankTooDense(
-            f"{config.filter_count} filters cannot fit into {n_bins} FFT bins"
-        )
-    edges = mel_filter_edges(config.filter_count, sample_rate)
-    bin_freqs = np.fft.rfftfreq(config.fft_size, d=1.0 / sample_rate)
+    return _mel_bank(config.filter_count, config.fft_size, sample_rate)
 
-    bank = np.zeros((config.filter_count, n_bins))
-    for i in range(config.filter_count):
+
+@functools.lru_cache(maxsize=32)
+def _mel_bank(filter_count: int, fft_size: int, sample_rate: int) -> np.ndarray:
+    _check_mel_filter_count(filter_count)
+    n_bins = fft_size // 2 + 1
+    if filter_count > n_bins - 2:
+        raise FilterbankTooDense(f"{filter_count} filters cannot fit into {n_bins} FFT bins")
+    edges = mel_filter_edges(filter_count, sample_rate)
+    bin_freqs = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
+
+    bank = np.zeros((filter_count, n_bins))
+    for i in range(filter_count):
         left, center, right = edges[i], edges[i + 1], edges[i + 2]
         rising = (bin_freqs - left) / (center - left)
         falling = (right - bin_freqs) / (right - center)
         bank[i] = np.maximum(0.0, np.minimum(rising, falling))
     if not (bank > 0).any(axis=1).all():
         raise FilterbankTooDense("filter spacing is finer than the FFT resolution")
-    return bank
+    return _read_only(bank)
 
 
 def check_frame_cap(cap, field: str) -> None:
@@ -163,19 +186,39 @@ def check_frame_cap(cap, field: str) -> None:
         raise ValueError(f"{field} must be None or an integer >= 1, got {cap!r}")
 
 
+@functools.lru_cache(maxsize=8)
+def _taper(frame_length: int) -> np.ndarray:
+    return _read_only(hamming_window(frame_length))
+
+
 def windowed_frames(
     signal: AudioSignal, config: ExtractorConfig, max_frames: Optional[int] = None
 ) -> np.ndarray:
-    """Frame a signal, keep max_frames evenly spaced rows (None keeps all), then apply the Hamming taper.
+    """Keep max_frames evenly spaced frames (None keeps all), pre-emphasize them for mfcc and lpcc, apply the Hamming taper.
 
-    Every later step is per frame, so selecting rows here gives the same
-    values as extracting every frame and selecting afterwards.
+    The frame starts are chosen before any sample is copied, and only the kept
+    rows are gathered, pre-emphasized and tapered. They equal, bit for bit,
+    the same rows of frame_signal(pre_emphasize(signal, a)) times the taper
+    (frame_signal(signal) for plp, whose equal-loudness curve already weights
+    the spectrum). Every later step is per frame, so selecting rows here gives
+    the same values as extracting every frame and selecting afterwards.
     """
-    frames = frame_signal(signal, config.frame_ms, config.hop_ms).frames
+    frame_length, hop, count = frame_layout(signal, config.frame_ms, config.hop_ms)
     check_frame_cap(max_frames, "max_frames")
-    if max_frames is not None and frames.shape[0] > max_frames:
-        frames = frames[np.round(np.linspace(0, frames.shape[0] - 1, max_frames)).astype(int)]
-    return frames * hamming_window(frames.shape[1])
+    rows = np.arange(count)
+    if max_frames is not None and count > max_frames:
+        rows = np.round(np.linspace(0, count - 1, max_frames)).astype(int)
+    starts = rows * hop
+    x = signal.samples
+    frames = np.lib.stride_tricks.sliding_window_view(x, frame_length)[starts]
+    if config.kind != "plp":
+        # y[n] = x[n] - a*x[n-1] as pre_emphasize computes it; the first kept frame
+        # starts at sample 0 and keeps y[0] = x[0]
+        a = config.pre_emphasis_a
+        frames[:, 1:] -= a * frames[:, :-1]
+        frames[1:, 0] -= a * x[starts[1:] - 1]
+    frames *= _taper(frame_length)
+    return frames
 
 
 def _fft_magnitudes(frames: np.ndarray, fft_size: int) -> np.ndarray:
@@ -231,8 +274,7 @@ def _dct_plan(n: int) -> tuple[np.ndarray, float]:
     for i in range(n - 1):
         (ar, ai), (br, bi) = cos_sin((i + 1) & mask), cos_sin((i + 1) & ~mask)
         w[i] = ar * br - ai * bi
-    w.flags.writeable = False
-    return w, float(1 / np.sqrt(np.longdouble(2 * n)))
+    return _read_only(w), float(1 / np.sqrt(np.longdouble(2 * n)))
 
 
 def _dct(x: np.ndarray, kind: str) -> np.ndarray:
@@ -321,11 +363,13 @@ def levinson_durbin(autocorr) -> tuple[np.ndarray, float]:
 
 
 def _dot_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row dot products added left to right, so no row depends on the batch size."""
-    total = np.zeros(x.shape[0])
-    for j in range(x.shape[1]):
-        total += x[:, j] * y[:, j]
-    return total
+    """Per-row dot products added left to right from 0, so no row depends on the batch size.
+
+    np.add.accumulate adds strictly in order, unlike np.sum's pairwise sums.
+    """
+    terms = np.zeros((x.shape[0], x.shape[1] + 1))
+    np.multiply(x, y, out=terms[:, 1:])
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def levinson_durbin_rows(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -408,9 +452,15 @@ def bark_band_loudness(frames: np.ndarray, config: ExtractorConfig, sample_rate:
     compressed by the cube root (intensity to loudness).
     """
     power = _fft_magnitudes(frames, config.fft_size) ** 2
+    windows, weights = _bark_bank(config.filter_count, config.fft_size, sample_rate)
+    return np.cbrt(_project(power, windows) * weights)
 
-    bin_bark = bark_scale(2.0 * np.pi * np.fft.rfftfreq(config.fft_size, 1.0 / sample_rate))
-    centers = bark_band_centers(config.filter_count, sample_rate)
+
+@functools.lru_cache(maxsize=32)
+def _bark_bank(band_count: int, fft_size: int, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only trapezoidal bark windows (bands x FFT bins) and the equal-loudness weight of each band."""
+    bin_bark = bark_scale(2.0 * np.pi * np.fft.rfftfreq(fft_size, 1.0 / sample_rate))
+    centers = bark_band_centers(band_count, sample_rate)
     offsets = np.abs(bin_bark[None, :] - bark_scale(centers)[:, None])
     windows = np.clip(
         (BARK_ZERO_HALF_WIDTH - offsets) / (BARK_ZERO_HALF_WIDTH - BARK_FLAT_HALF_WIDTH),
@@ -419,8 +469,7 @@ def bark_band_loudness(frames: np.ndarray, config: ExtractorConfig, sample_rate:
     )
     if not (windows > 0).any(axis=1).all():
         raise FilterbankTooDense("band spacing is finer than the FFT resolution")
-
-    return np.cbrt(_project(power, windows) * equal_loudness(centers))
+    return _read_only(windows), _read_only(equal_loudness(centers))
 
 
 def _plp(frames: np.ndarray, config: ExtractorConfig, sample_rate: int) -> tuple[np.ndarray, int]:
@@ -445,13 +494,12 @@ def extract(
 ) -> FeatureMatrix:
     """Cepstra of the extractor selected by config.kind, one row per kept frame.
 
-    mfcc and lpcc frame the pre-emphasized signal; plp frames the signal as
-    it is, because its equal-loudness curve already weights the spectrum.
-    max_frames keeps that many evenly spaced frames (None keeps all) and is
-    applied before any spectral or LPC work.
+    The frames come from windowed_frames: mfcc and lpcc frames are
+    pre-emphasized, plp frames are not. max_frames keeps that many evenly
+    spaced frames (None keeps all) and is applied before any sample is
+    copied.
     """
-    source = signal if config.kind == "plp" else pre_emphasize(signal, config.pre_emphasis_a)
-    frames = windowed_frames(source, config, max_frames)
+    frames = windowed_frames(signal, config, max_frames)
     back_end = {"mfcc": _mfcc, "lpcc": _lpcc, "plp": _plp}[config.kind]
     values, unstable = back_end(frames, config, signal.sample_rate)
     return FeatureMatrix(values=values, unstable_frames=unstable)

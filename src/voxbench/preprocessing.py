@@ -94,7 +94,10 @@ def remove_silence(
     if n_blocks == 0:
         raise NoVoicedContent("signal shorter than one analysis block")
 
-    u = np.abs(standardize(signal.samples[: n_blocks * block], model))
+    # |u| = |standardize(x)|, computed in one buffer
+    u = signal.samples[: n_blocks * block] - model.mu
+    u /= model.sigma
+    np.abs(u, out=u)
     outlier_fraction = (u.reshape(n_blocks, block) > model.u_threshold).mean(axis=1)
     voiced = outlier_fraction > VOICED_FRACTION
     if not voiced.any():

@@ -334,12 +334,38 @@ def test_extract_flags_set_their_config_fields():
     parser = build_parser()
     base = ["extract", "--in", "a.wav", "--out", "b.csv", "--method"]
     assert _extractor_config_from_args(parser.parse_args([*base, "plp"])) == default_config("plp")
+    # mfcc reads every knob but lpc_order_q, which lpcc and plp read
     args = parser.parse_args([
-        *base, "lpcc", "--pre-emphasis", "0.95", "--frame-ms", "20", "--hop-ms", "8", "--fft-size", "1024",
-        "--filter-count", "30", "--lpc-order", "10", "--num-ceps", "14", "--dct", "idct", "--include-c0",
+        *base, "mfcc", "--pre-emphasis", "0.95", "--frame-ms", "20", "--hop-ms", "8", "--fft-size", "1024",
+        "--filter-count", "30", "--num-ceps", "14", "--dct", "idct", "--include-c0",
     ])
-    expected = ExtractorConfig("lpcc", 0.95, 20.0, 8.0, 1024, 30, 10, 14, "idct", True)
+    expected = ExtractorConfig("mfcc", 0.95, 20.0, 8.0, 1024, 30, 12, 14, "idct", True)
     assert _extractor_config_from_args(args) == expected
+    args = parser.parse_args([*base, "lpcc", "--lpc-order", "10"])
+    assert _extractor_config_from_args(args) == ExtractorConfig("lpcc", lpc_order_q=10)
+
+
+UNREAD_FLAGS = [
+    ("plp", ["--pre-emphasis", "0.95", "--dct", "idct"], "plp does not read pre_emphasis_a"),
+    ("plp", ["--dct", "idct"], "plp does not read dct_kind"),
+    ("plp", ["--include-c0"], "plp does not read include_c0"),
+    ("lpcc", ["--fft-size", "1024"], "lpcc does not read fft_size"),
+    ("lpcc", ["--filter-count", "30"], "lpcc does not read filter_count"),
+    ("lpcc", ["--dct", "idct"], "lpcc does not read dct_kind"),
+    ("lpcc", ["--include-c0"], "lpcc does not read include_c0"),
+    ("mfcc", ["--lpc-order", "10"], "mfcc does not read lpc_order_q"),
+]
+
+
+@pytest.mark.parametrize("method, flags, message", UNREAD_FLAGS)
+def test_extract_rejects_a_flag_its_method_never_reads(cli_corpus, tmp_path, monkeypatch, capsys, method, flags, message):
+    _no_wav_reads(monkeypatch)
+    out = tmp_path / "feats.csv"
+    assert main(["extract", "--in", str(cli_corpus / "manifest.csv"), "--method", method, *flags,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}; it must keep its default") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_train_and_predict_roundtrip(embedding_csv, tmp_path):
@@ -524,6 +550,15 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
          "grid takes no parameter classifier; it takes extractors, reducers, classifiers"),
         ({"extractors": [{"kind": "mfcc", "filter_count": 10}]},
          "extractor 'mfcc': filter_count 10 yields 9 coefficients, fewer than num_ceps 13"),
+        ({"extractors": [{"kind": "plp", "pre_emphasis_a": 0.95}]},
+         "extractor 'plp': plp does not read pre_emphasis_a; it must keep its default 0.97, got 0.95"),
+        ({"extractors": [{"kind": "plp", "dct_kind": "idct"}]}, "extractor 'plp': plp does not read dct_kind"),
+        ({"extractors": [{"kind": "plp", "include_c0": True}]}, "extractor 'plp': plp does not read include_c0"),
+        ({"extractors": [{"kind": "lpcc", "fft_size": 1024}]}, "extractor 'lpcc': lpcc does not read fft_size"),
+        ({"extractors": [{"kind": "lpcc", "filter_count": 30}]}, "extractor 'lpcc': lpcc does not read filter_count"),
+        ({"extractors": [{"kind": "lpcc", "dct_kind": "idct"}]}, "extractor 'lpcc': lpcc does not read dct_kind"),
+        ({"extractors": [{"kind": "lpcc", "include_c0": True}]}, "extractor 'lpcc': lpcc does not read include_c0"),
+        ({"extractors": [{"kind": "mfcc", "lpc_order_q": 10}]}, "extractor 'mfcc': mfcc does not read lpc_order_q"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):

@@ -1,15 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from voxbench.audio_io import AudioSignal, frame_signal
+from voxbench.audio_io import AudioSignal, frame_signal, hamming_window
 from voxbench.errors import FilterbankTooDense, FrameExceedsFft
 from voxbench.features import (
     EXTRACTOR_KINDS,
     LOG_FLOOR,
+    UNREAD_KNOBS,
     ExtractorConfig,
     _dct,
+    _lpcc,
+    _mfcc,
+    _plp,
     bark_band_centers,
     bark_band_loudness,
     bark_scale,
@@ -69,13 +75,14 @@ def test_pre_emphasis_preserves_length():
 
 @pytest.mark.parametrize("kind", EXTRACTOR_KINDS)
 def test_only_mfcc_and_lpcc_pre_emphasize(kind):
+    if kind == "plp":
+        with pytest.raises(ValueError, match="^plp does not read pre_emphasis_a; it must keep its default 0.97, got 0.9$"):
+            default_config(kind, pre_emphasis_a=0.9)
+        return
     sig = tone(440, seconds=0.3)
     weak = extract(sig, default_config(kind, pre_emphasis_a=0.9)).values
     flat = extract(sig, default_config(kind, pre_emphasis_a=1.0)).values
-    if kind == "plp":
-        np.testing.assert_array_equal(weak, flat)
-    else:
-        assert not np.array_equal(weak, flat)
+    assert not np.array_equal(weak, flat)
 
 
 # --- mel scale and filterbank ----------------------------------------------
@@ -129,7 +136,7 @@ def test_mfcc_shape_contract():
 
 def test_mfcc_tone_hits_nearest_filter():
     config = default_config("mfcc")
-    frames = windowed_frames(pre_emphasize(tone(1000.0), config.pre_emphasis_a), config)
+    frames = windowed_frames(tone(1000.0), config)
     energies = mel_energies(frames, config, SR)
     strongest = int(np.argmax(energies.mean(axis=0)))
     centers_hz = mel_filter_edges(config.filter_count, SR)[1:-1]
@@ -188,7 +195,7 @@ def test_dct_equals_scipy_bit_for_bit(n):
 def test_mfcc_equals_the_scipy_dct_of_tone_log_energies(filter_count, kind):
     config = default_config("mfcc", filter_count=filter_count, dct_kind=kind, include_c0=True)
     sig = AudioSignal(samples=tone(440).samples + 0.3 * tone(2500).samples, sample_rate=SR)
-    frames = windowed_frames(pre_emphasize(sig, config.pre_emphasis_a), config)
+    frames = windowed_frames(sig, config)
     log_energies = np.log(np.maximum(mel_energies(frames, config, SR), LOG_FLOOR))
     expected = scipy_dct(log_energies, kind)
     np.testing.assert_array_equal(_dct(log_energies, kind), expected)
@@ -235,6 +242,27 @@ def test_config_validation():
         ExtractorConfig(kind="spectrogram")
 
 
+# a valid non-default value of each knob
+OTHER_VALUES = {"pre_emphasis_a": 0.95, "fft_size": 1024, "filter_count": 30, "lpc_order_q": 10,
+                "dct_kind": "idct", "include_c0": True}
+
+
+@pytest.mark.parametrize("kind, knob", [(kind, knob) for kind, knobs in UNREAD_KNOBS.items() for knob in knobs])
+def test_config_rejects_a_knob_its_kind_never_reads(kind, knob):
+    value = OTHER_VALUES[knob]
+    default = getattr(ExtractorConfig(kind="mfcc"), knob)
+    with pytest.raises(ValueError, match=f"^{kind} does not read {knob}; it must keep its default {default!r}, got {value!r}$"):
+        ExtractorConfig(kind=kind, **{knob: value})
+    assert getattr(ExtractorConfig(kind=kind, **{knob: default}), knob) == default
+
+
+@pytest.mark.parametrize("kind", EXTRACTOR_KINDS)
+def test_config_accepts_every_knob_its_kind_reads(kind):
+    # filter_count 30 keeps plp's bands and mfcc's coefficients valid
+    for knob in set(OTHER_VALUES) - set(UNREAD_KNOBS[kind]):
+        assert getattr(ExtractorConfig(kind=kind, **{knob: OTHER_VALUES[knob]}), knob) == OTHER_VALUES[knob]
+
+
 def test_mfcc_filter_count_must_cover_num_ceps():
     # the DCT of F log energies has F coefficients, and c0 is dropped unless include_c0
     with pytest.raises(ValueError, match="^filter_count 13 yields 12 coefficients, fewer than num_ceps 13$"):
@@ -267,6 +295,62 @@ def test_frame_cap_equals_selecting_rows_of_full_extraction(voiced, kind):
         np.testing.assert_array_equal(kept, full[rows])
 
 
+def frame_signal_route(signal, config, cap):
+    """The whole-signal route: pre-emphasize (not plp) and frame the whole signal, select rows, taper, run the back-end."""
+    source = signal if config.kind == "plp" else pre_emphasize(signal, config.pre_emphasis_a)
+    frames = frame_signal(source, config.frame_ms, config.hop_ms).frames
+    if cap is not None and frames.shape[0] > cap:
+        frames = frames[np.round(np.linspace(0, frames.shape[0] - 1, cap)).astype(int)]
+    back_end = {"mfcc": _mfcc, "lpcc": _lpcc, "plp": _plp}[config.kind]
+    return back_end(frames * hamming_window(frames.shape[1]), config, signal.sample_rate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(EXTRACTOR_KINDS),
+    timing=st.sampled_from([(25.0, 10.0), (20.0, 8.0), (10.0, 10.0), (50.0, 15.0)]),
+    a=st.sampled_from([0.9, 0.97, 1.0]),
+    length=st.integers(800, 6000),
+    cap=st.one_of(st.none(), st.integers(1, 80)),
+    seed=st.integers(0, 2**32 - 1),
+    silent=st.booleans(),
+)
+@example(kind="mfcc", timing=(25.0, 10.0), a=0.97, length=800, cap=1, seed=0, silent=False)
+@example(kind="lpcc", timing=(20.0, 8.0), a=0.9, length=6000, cap=10**6, seed=1, silent=True)
+@example(kind="plp", timing=(25.0, 10.0), a=0.97, length=3000, cap=None, seed=2, silent=False)
+def test_extract_equals_the_frame_signal_route_bit_for_bit(kind, timing, a, length, cap, seed, silent):
+    # linspace selection always keeps row 0, so every case has a kept frame that starts at sample 0
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(length) * 10.0 ** rng.uniform(-4, 0)
+    if silent:  # zero stretches give the silent rows that lpcc and plp count as unstable
+        x[length // 4 : length // 2] = 0.0
+    signal = AudioSignal(samples=x, sample_rate=SR)
+    knobs = {"frame_ms": timing[0], "hop_ms": timing[1]}
+    if kind != "plp":
+        knobs["pre_emphasis_a"] = a
+    if kind != "lpcc":
+        knobs["fft_size"] = 1024  # holds the 800-sample 50 ms frame
+    config = default_config(kind, **knobs)
+    got = extract(signal, config, max_frames=cap)
+    values, unstable = frame_signal_route(signal, config, cap)
+    assert got.values.tobytes() == values.tobytes() and got.values.shape == values.shape
+    assert got.unstable_frames == unstable
+
+
+@pytest.mark.parametrize("kind", EXTRACTOR_KINDS)
+def test_capped_extract_allocates_no_signal_sized_array(kind):
+    signal = AudioSignal(samples=np.random.default_rng(9).standard_normal(int(3.5 * SR)), sample_rate=SR)
+    config = default_config(kind)
+    extract(signal, config, max_frames=12)  # builds the cached filterbank and taper
+    tracemalloc.start()
+    try:
+        extract(signal, config, max_frames=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < signal.samples.nbytes
+
+
 @pytest.mark.parametrize("cap", [0, -3, 1.5])
 def test_frame_cap_rejects_non_positive_or_fractional(voiced, cap):
     with pytest.raises(ValueError, match="max_frames must be None or an integer >= 1"):
@@ -276,9 +360,7 @@ def test_frame_cap_rejects_non_positive_or_fractional(voiced, cap):
 # --- fft_size ----------------------------------------------------------------------
 
 def test_lpcc_ignores_fft_size(voiced):
-    # LPC analysis picks its own FFT length, so an fft_size below the frame length is no error
-    base = extract(voiced, default_config("lpcc")).values
-    np.testing.assert_array_equal(extract(voiced, default_config("lpcc", fft_size=256)).values, base)
+    # LPC analysis picks its own FFT length, so a frame longer than the default fft_size is no error
     long_frames = default_config("lpcc", frame_ms=40.0)  # 640 samples at 16 kHz, above the default 512
     assert extract(voiced, long_frames).values.shape == (frame_signal(voiced, 40.0, 10.0).frames.shape[0], 13)
 
