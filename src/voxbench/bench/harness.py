@@ -21,7 +21,7 @@ import numpy as np
 
 from ..audio_io import load_wav
 from ..classifiers import CLASSIFIER_NAMES, LabeledDataset, check_classifier, predict, train_by_name
-from ..errors import PipelineError, UndefinedRoc, check_fields_like_defaults
+from ..errors import PipelineError, UndefinedRoc, check_fields_like_defaults, check_unread_at_defaults
 from ..features import EXTRACTOR_KINDS, ExtractorConfig, check_frame_cap, default_config, extract
 from ..preprocessing import DEFAULT_MIN_SEGMENT_MS, DEFAULT_U_THRESHOLD, fit_silence_model, remove_silence
 from ..reduction import SneConfig, reduce_for_pipeline
@@ -37,13 +37,18 @@ from .reports import (
 )
 
 REDUCER_NAMES = ("sne", "pca")
+# the ReducerSpec fields each method never reads; they must keep their defaults
+REDUCER_UNREAD_KNOBS = {"sne": (), "pca": ("perplexity", "max_iter", "learning_rate", "kernel")}
 DEFAULT_MAX_FRAMES_PER_FILE = 60
 DEFAULT_RECALL_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
 class ReducerSpec:
-    """Reduction method plus its knobs, defaulting to SneConfig's; name defaults to the method."""
+    """Reduction method plus its knobs, defaulting to SneConfig's; name defaults to the method.
+
+    A knob that the method never reads (REDUCER_UNREAD_KNOBS) must keep its default.
+    """
 
     method: str
     target_dim: int = SneConfig.target_dim
@@ -60,6 +65,7 @@ class ReducerSpec:
             self.sne_config(seed=0)  # the range checks of SneConfig
         except ValueError as exc:
             raise ValueError(f"reducer {self.method!r}: {exc}") from None
+        check_unread_at_defaults(self, REDUCER_UNREAD_KNOBS[self.method], f"reducer {self.method!r}")
 
     def sne_config(self, seed: int) -> SneConfig:
         return SneConfig(
@@ -247,7 +253,7 @@ def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: Ha
     curves = {}
     for speaker in range(table.class_count):
         try:
-            curves[str(speaker)] = roc_points(true_labels, scores, speaker).tolist()
+            curves[str(speaker)] = roc_points(true_labels, scores, speaker)
         except UndefinedRoc:
             pass
 

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+
+import numpy as np
 
 # Accuracy/distinguishability figures from the original comparative study.
 # Shipped for side-by-side display only: they were measured on that study's
@@ -64,7 +67,10 @@ def format_float(x: float) -> str:
 
 
 def round_floats(value):
-    """Recursively round floats to six significant digits for serialization."""
+    """Recursively round floats to six significant digits.
+
+    json.dump of the result is what write_report_json writes, without building the copy.
+    """
     if isinstance(value, float):
         return float(format_float(value))
     if isinstance(value, dict):
@@ -86,11 +92,65 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_report_json(report: dict, path) -> None:
-    """report with round_floats applied, as indented JSON with sorted keys and a final newline."""
-    payload = round_floats(report)
+    """report with round_floats applied, as indented JSON with sorted keys and a final newline.
+
+    The bytes are those of json.dump(round_floats(report), fh, indent=2,
+    sort_keys=True) plus "\n", with ndarrays read as their tolist(). Each float
+    is rounded as it is written, so no rounded copy of the report is built.
+    """
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.reconfigure(write_through=True)  # hand each piece to the byte buffer, not to a list of pending str objects
+        _write_json(fh.write, report, 0)
         fh.write("\n")
+
+
+def _write_json(write, value, depth: int) -> None:
+    """Write value as json.dump(round_floats(value), indent=2, sort_keys=True) writes it at nesting depth.
+
+    An ndarray is written as its tolist(), one row at a time.
+    """
+    if isinstance(value, np.ndarray) and value.ndim < 2:
+        value = value.tolist()
+    if isinstance(value, float):
+        write(_json_float(float(format_float(value))))
+    elif isinstance(value, str) or value is None or isinstance(value, int):
+        write(json.dumps(value))
+    elif isinstance(value, dict):
+        separator = "{\n" + "  " * (depth + 1)
+        for key, item in sorted(value.items()):
+            write(separator + json.dumps(_json_key(key)) + ": ")
+            _write_json(write, item, depth + 1)
+            separator = ",\n" + "  " * (depth + 1)
+        write("\n" + "  " * depth + "}" if value else "{}")
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        separator = "[\n" + "  " * (depth + 1)
+        for item in value:
+            write(separator)
+            _write_json(write, item, depth + 1)
+            separator = ",\n" + "  " * (depth + 1)
+        write("\n" + "  " * depth + "]" if len(value) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    """A dict key as json.dump names it: a str as is, an int, float, bool or None as its JSON text."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_float(x: float) -> str:
+    """x as json.dump writes a float: NaN, Infinity and -Infinity by name, else its repr."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return repr(x)
 
 
 def load_report_json(path) -> dict:

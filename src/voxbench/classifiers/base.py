@@ -13,6 +13,7 @@ from ..errors import DimensionMismatch
 LOWER_BOUNDS = {"k": 1, "min_leaf": 1, "n_trees": 1, "hidden": 1, "batch_size": 1, "max_splits": 0, "epochs": 0}
 # rates and scales, which must be > 0; None selects the trainer's default
 POSITIVE_PARAMETERS = ("box_c", "kernel_scale", "lr")
+DISTANCE_BLOCK_ROWS = 64  # rows per block temporary of squared_distances (measured: 32-256 time alike)
 
 
 def check_ranges(params: dict, prefix: str = "") -> None:
@@ -37,9 +38,21 @@ def _kernel_divisor_is_normal(scale) -> bool:
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance of every row of a to every row of b, clamped at 0."""
-    d2 = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * a @ b.T
-    return np.maximum(d2, 0.0)
+    """Squared Euclidean distance of every row of a to every row of b, clamped at 0.
+
+    Each entry is (|a_i|^2 + |b_j|^2) - 2 a_i.b_j. The cross term is one
+    matrix product over all of a, since BLAS may round a row differently in a
+    call with fewer rows, and it is turned into distances in place, DISTANCE_BLOCK_ROWS
+    rows at a time, so the result is the one a x b array held.
+    """
+    sq_a, sq_b = (a**2).sum(axis=1), (b**2).sum(axis=1)
+    d2 = 2.0 * a @ b.T
+    for start in range(0, len(d2), DISTANCE_BLOCK_ROWS):
+        rows = slice(start, start + DISTANCE_BLOCK_ROWS)
+        block = d2[rows]
+        np.subtract(sq_a[rows, None] + sq_b, block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return d2
 
 
 @dataclass(frozen=True)

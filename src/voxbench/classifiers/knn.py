@@ -10,6 +10,7 @@ from ..errors import KTooLarge
 from .base import LabeledDataset, TrainedClassifier, check_ranges, squared_distances
 
 DISTANCE_EPSILON = 1e-12  # guards exact hits; an on-point query dominates the vote
+SORT_BLOCK_ROWS = 64  # query rows per argsort; only their k nearest indices are kept
 
 
 @dataclass(frozen=True)
@@ -21,7 +22,10 @@ class WeightedKnnModel:
 
     def scores(self, queries: np.ndarray) -> np.ndarray:
         d2 = squared_distances(queries, self.points)
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
+        nearest = np.empty((len(d2), self.k), dtype=np.intp)
+        for start in range(0, len(d2), SORT_BLOCK_ROWS):
+            rows = slice(start, start + SORT_BLOCK_ROWS)
+            nearest[rows] = np.argsort(d2[rows], axis=1, kind="stable")[:, : self.k]
         weights = 1.0 / (DISTANCE_EPSILON + np.take_along_axis(d2, nearest, axis=1))
         out = np.zeros((queries.shape[0], self.class_count))
         neighbor_labels = self.labels[nearest]

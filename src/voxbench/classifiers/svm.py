@@ -20,8 +20,12 @@ MARGIN_TIEBREAK = 1e-3  # well below one vote; orders equal-vote classes only
 
 
 def rbf_kernel(a: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
+    """exp(-d2 / (2 scale^2)) of the squared distances d2, computed over d2 in place."""
+    k = squared_distances(a, b)
     with np.errstate(over="ignore"):  # a distance far beyond the scale: the kernel is 0
-        return np.exp(-squared_distances(a, b) / (2.0 * scale**2))
+        np.negative(k, out=k)
+        np.divide(k, 2.0 * scale**2, out=k)
+        return np.exp(k, out=k)
 
 
 @dataclass

@@ -143,3 +143,13 @@ def check_fields_like_defaults(spec, prefix: str = "") -> None:
     """check_like_default on every field of the dataclass spec after the first; prefix leads each label."""
     for knob in dataclasses.fields(spec)[1:]:
         check_like_default(f"{prefix}{knob.name}", getattr(spec, knob.name), knob.default)
+
+
+def check_unread_at_defaults(spec, unread, reader: str) -> None:
+    """Raise ValueError naming reader unless each field of the dataclass spec named in unread keeps its default."""
+    for knob in dataclasses.fields(spec):
+        if knob.name in unread and getattr(spec, knob.name) != knob.default:
+            raise ValueError(
+                f"{reader} does not read {knob.name}; it must keep its default {knob.default!r}, "
+                f"got {getattr(spec, knob.name)!r}"
+            )

@@ -12,13 +12,19 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .audio_io import AudioSignal, check_frame_timing, frame_layout, hamming_window
-from .errors import FilterbankTooDense, FrameExceedsFft, UnstableRecursion, check_fields_like_defaults
+from .errors import (
+    FilterbankTooDense,
+    FrameExceedsFft,
+    UnstableRecursion,
+    check_fields_like_defaults,
+    check_unread_at_defaults,
+)
 
 LOG_FLOOR = 1e-10  # keeps log of empty bands finite
 EXTRACTOR_KINDS = ("mfcc", "lpcc", "plp")
@@ -64,12 +70,7 @@ class ExtractorConfig:
         if self.kind not in EXTRACTOR_KINDS:
             raise ValueError(f"kind must be one of {EXTRACTOR_KINDS}")
         check_fields_like_defaults(self)
-        for knob in fields(self):
-            if knob.name in UNREAD_KNOBS[self.kind] and getattr(self, knob.name) != knob.default:
-                raise ValueError(
-                    f"{self.kind} does not read {knob.name}; it must keep its default {knob.default!r}, "
-                    f"got {getattr(self, knob.name)!r}"
-                )
+        check_unread_at_defaults(self, UNREAD_KNOBS[self.kind], self.kind)
         if not 0.9 <= self.pre_emphasis_a <= 1.0:
             raise ValueError("pre_emphasis_a must lie in [0.9, 1]")
         if self.fft_size < 2 or self.fft_size & (self.fft_size - 1):

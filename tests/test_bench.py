@@ -3,15 +3,21 @@ import importlib.util
 import json
 import shutil
 import sys
+import tempfile
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from voxbench.audio_io import AudioSignal, load_wav, write_wav
 from voxbench.bench import corpus, harness
+from voxbench.bench.reports import round_floats, write_report_json
 from voxbench.bench import (
     ClassifierSpec,
     HarnessSettings,
@@ -404,7 +410,7 @@ def test_pooled_embeddings_equal_serial_entries(small_corpus, jobs):
     tables, failures = harness._frame_tables(small_corpus, grid.extractors, FAST)
     serial = grid_entries(small_corpus, grid, tables, failures, jobs=1)
     assert len(serial) == 8 and all(e["status"] == "ok" for e in serial)
-    assert grid_entries(small_corpus, grid, tables, failures, jobs=jobs) == serial
+    np.testing.assert_equal(grid_entries(small_corpus, grid, tables, failures, jobs=jobs), serial)
 
 
 @pytest.mark.parametrize(
@@ -428,7 +434,7 @@ def test_failed_sne_pair_fails_only_its_cells_on_the_pool(small_corpus, lpcc_row
             assert entry["status"] == "failed" and entry["failure_reason"] == reason
         elif entry["extractor"] == "mfcc":
             assert entry["status"] == "ok"
-    assert entries == grid_entries(small_corpus, grid, tables, failures, jobs=1)
+    np.testing.assert_equal(entries, grid_entries(small_corpus, grid, tables, failures, jobs=1))
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -633,7 +639,7 @@ def test_combination_equals_its_sweep_entry(small_corpus):
                     small_corpus, extractor, reducer, classifier, master_seed=7, settings=FAST
                 )
                 assert entry["status"] == "ok"
-                assert entry == by_key[(extractor.kind, reducer.method, classifier.name)]
+                np.testing.assert_equal(entry, by_key[(extractor.kind, reducer.method, classifier.name)])
 
 
 def test_report_floats_have_six_significant_digits(small_corpus, tmp_path):
@@ -645,6 +651,80 @@ def test_report_floats_have_six_significant_digits(small_corpus, tmp_path):
             assert float(f"{recall:.6g}") == recall
             checked += 1
     assert checked > 0
+
+
+def listed(value):
+    """value with each ndarray replaced by its tolist(), the form json.dump reads."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: listed(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [listed(v) for v in value]
+    return value
+
+
+def write_rounded_copy(report, path):
+    """The reference route for write_report_json: json.dump of a rounded copy of a report without ndarrays."""
+    with open(path, "w") as fh:
+        json.dump(round_floats(report), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+SHAPES = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN, +-inf, -0.0, subnormals and the largest finite floats among them
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308]),
+    st.text(),  # quotes, backslashes, control characters and non-ASCII among them
+    arrays(np.float64, SHAPES),
+    arrays(np.int64, SHAPES),
+)
+REPORT_VALUES = st.recursive(
+    REPORT_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPORT_VALUES)
+def test_report_writer_writes_the_bytes_of_the_rounded_copy_route(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        written, expected = Path(tmp) / "written.json", Path(tmp) / "expected.json"
+        write_report_json(value, written)
+        write_rounded_copy(listed(value), expected)
+        assert written.read_bytes() == expected.read_bytes()
+
+
+def test_report_writer_builds_no_rounded_copy(small_corpus, tmp_path):
+    # fine svm and feed forward scores are continuous, so their ROC curves hold every test frame
+    grid = SweepGrid(
+        extractors=(default_config("mfcc"), default_config("plp")),
+        reducers=(ReducerSpec("pca"),),
+        classifiers=(ClassifierSpec("fine svm"), ClassifierSpec("feed forward")),
+    )
+    report = run_sweep(small_corpus, grid=grid, settings=HarnessSettings(max_frames_per_file=None))
+    assert all(isinstance(curve, np.ndarray) for e in report["combinations"] for curve in e["roc_curves"].values())
+    peaks = []
+    for write, value, path in (
+        (write_rounded_copy, listed(report), tmp_path / "expected.json"),  # the report as it was held before
+        (write_report_json, report, tmp_path / "report.json"),
+    ):
+        tracemalloc.start()
+        try:
+            write(value, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "report.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    assert peaks[1] < peaks[0] / 10
 
 
 # --- scaling curve ----------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import heapq
 import itertools
 import re
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -24,6 +25,9 @@ from voxbench.classifiers import (
     tree_train,
 )
 from voxbench.classifiers import trees
+from voxbench.classifiers.base import DISTANCE_BLOCK_ROWS, squared_distances
+from voxbench.classifiers.knn import DISTANCE_EPSILON, SORT_BLOCK_ROWS
+from voxbench.classifiers.svm import rbf_kernel
 from voxbench.classifiers.ffnn import ffnn_train_many
 from voxbench.classifiers.trees import DecisionTreeModel, grow_trees
 from voxbench.errors import DimensionMismatch, KTooLarge, NonFiniteLoss
@@ -115,6 +119,65 @@ def test_knn_train_set_self_prediction():
     model = knn_train(dataset(points, labels), k=1)
     got, _ = predict(model, points)
     np.testing.assert_array_equal(got, labels)
+
+
+def one_expression_squared_distances(a, b):
+    """squared_distances as one expression over whole arrays, the reference for its row blocks."""
+    d2 = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1)[None, :] - 2.0 * a @ b.T
+    return np.maximum(d2, 0.0)
+
+
+def full_sort_knn_scores(model, queries):
+    """WeightedKnnModel.scores with one argsort over every query row, the reference for its row blocks."""
+    d2 = one_expression_squared_distances(queries, model.points)
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    weights = 1.0 / (DISTANCE_EPSILON + np.take_along_axis(d2, nearest, axis=1))
+    out = np.zeros((queries.shape[0], model.class_count))
+    neighbor_labels = model.labels[nearest]
+    for c in range(model.class_count):
+        out[:, c] = np.where(neighbor_labels == c, weights, 0.0).sum(axis=1)
+    return out / out.sum(axis=1, keepdims=True)
+
+
+# query counts with one row, whole blocks, a one-row remainder and a longer remainder
+BLOCKED_ROWS = sorted({1, DISTANCE_BLOCK_ROWS, SORT_BLOCK_ROWS + 1, 2 * DISTANCE_BLOCK_ROWS + 17})
+
+
+@pytest.mark.parametrize("rows", BLOCKED_ROWS)
+def test_blocked_distances_and_kernel_equal_one_expression_bitwise(rows):
+    rng = np.random.default_rng(rows)
+    a, b = rng.normal(0, 3, (rows, 4)), rng.normal(0, 3, (70, 4))
+    a[0] = b[5]  # an exact hit, whose rounding error the clamp at 0 meets
+    expected = one_expression_squared_distances(a, b)
+    np.testing.assert_array_equal(squared_distances(a, b), expected)
+    for scale in (0.3, 2.0, 1.1e-154):
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(rbf_kernel(a, b, scale), np.exp(-expected / (2.0 * scale**2)))
+
+
+@pytest.mark.parametrize("rows", BLOCKED_ROWS)
+def test_blocked_knn_scores_equal_the_full_sort_bitwise(rows):
+    # grid points tie at many distances; the stable sort picks the lower training row
+    rng = np.random.default_rng(rows)
+    points = rng.integers(0, 4, (90, 2)).astype(float)
+    model = knn_train(dataset(points, np.arange(90) % 4), k=7).payload
+    queries = rng.integers(0, 4, (rows, 2)) + rng.choice([0.0, 0.5], (rows, 2))
+    np.testing.assert_array_equal(model.scores(queries), full_sort_knn_scores(model, queries))
+
+
+def test_knn_scoring_holds_one_distance_array():
+    # the uncapped acceptance corpus through PCA: 1911 held-out against 3822 training rows
+    n_test, n_train = 1911, 3822
+    rng = np.random.default_rng(3)
+    model = knn_train(dataset(rng.normal(0, 1, (n_train, 2)), np.arange(n_train) % 7), k=10).payload
+    queries = rng.normal(0, 1, (n_test, 2))
+    tracemalloc.start()
+    try:
+        model.scores(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * n_test * n_train * 8
 
 
 # --- decision tree ----------------------------------------------------------------

@@ -208,6 +208,21 @@ def test_reduce_flags_are_checked_like_a_grid_reducer(cli_corpus, features_csv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--perplexity", "5"], "perplexity; it must keep its default None, got 5.0"),
+        (["--max-iter", "50"], "max_iter; it must keep its default 500, got 50"),
+        (["--kernel", "student-t"], "kernel; it must keep its default 'gaussian', got 'student-t'"),
+    ],
+)
+def test_reduce_pca_rejects_an_sne_flag(features_csv, tmp_path, capsys, flags, message):
+    out = tmp_path / "emb.csv"
+    assert main(["reduce", "--in", str(features_csv), "--method", "pca", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: reducer 'pca' does not read {message}\n"
+    assert not out.exists()
+
+
 def test_reduce_header_only_csv_names_the_file(tmp_path, capsys):
     header_only = tmp_path / "header_only.csv"
     header_only.write_text("source,speaker,frame,c1,c2\n")
@@ -559,6 +574,11 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"extractors": [{"kind": "lpcc", "dct_kind": "idct"}]}, "extractor 'lpcc': lpcc does not read dct_kind"),
         ({"extractors": [{"kind": "lpcc", "include_c0": True}]}, "extractor 'lpcc': lpcc does not read include_c0"),
         ({"extractors": [{"kind": "mfcc", "lpc_order_q": 10}]}, "extractor 'mfcc': mfcc does not read lpc_order_q"),
+        ({"reducers": [{"method": "pca", "perplexity": 5}]},
+         "reducer 'pca' does not read perplexity; it must keep its default None, got 5"),
+        ({"reducers": [{"method": "pca", "max_iter": 50}]}, "reducer 'pca' does not read max_iter"),
+        ({"reducers": [{"method": "pca", "learning_rate": 0.5}]}, "reducer 'pca' does not read learning_rate"),
+        ({"reducers": [{"method": "pca", "kernel": "student-t"}]}, "reducer 'pca' does not read kernel"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):

@@ -1,8 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from voxbench import reduction
 from voxbench.errors import DataTooSmall, DegenerateData, DimensionMismatch, NonFiniteCost, PerplexityUnreachable
 from voxbench.reduction import (
     INIT_STD,
@@ -211,6 +213,42 @@ def test_unreachable_perplexity_names_first_failing_row():
     data = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(PerplexityUnreachable, match=r"^row 3: "):
         calibrated_conditionals(data, perplexity=2.0)
+
+
+def test_unreachable_perplexity_in_a_later_block_names_its_row(monkeypatch):
+    monkeypatch.setattr(reduction, "SNE_BLOCK_ROWS", 2)  # row 3 lies in the second block
+    data = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(PerplexityUnreachable, match=r"^row 3: "):
+        calibrated_conditionals(data, perplexity=2.0)
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 40])
+def test_calibration_and_terms_in_row_blocks_equal_whole_matrix_forms(monkeypatch, block_rows):
+    data = mixed_scale_rows(40, seed=block_rows)
+    expected, _ = per_row_calibration(data, 12.0)
+    monkeypatch.setattr(reduction, "SNE_BLOCK_ROWS", block_rows)
+    p = calibrated_conditionals(data, 12.0)
+    np.testing.assert_array_equal(p, expected)
+    positive = expected[expected > 0]
+    p_sym, p_rows, p_cols, p_sym_rows, neg_entropy = _gaussian_terms(p)
+    np.testing.assert_array_equal(p_sym, expected + expected.T)
+    np.testing.assert_array_equal(p_rows, expected.sum(axis=1))
+    np.testing.assert_array_equal(p_cols, expected.sum(axis=0))
+    np.testing.assert_array_equal(p_sym_rows, (expected + expected.T).sum(axis=1))
+    # summed block by block, so only the rounding of the sum differs
+    assert neg_entropy == pytest.approx(np.dot(positive, np.log(positive)), rel=1e-13)
+
+
+def test_dense_fit_holds_at_most_two_n_by_n_arrays():
+    n = 1260  # rows per extractor of the acceptance corpus
+    data = np.random.default_rng(25).normal(0, 1, (n, 13))
+    tracemalloc.start()
+    try:
+        sne_fit(data, SneConfig(max_iter=2))  # every buffer of the iterations exists from the first one
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * n * n * 8
 
 
 def test_calibration_raises_no_runtime_warning():
