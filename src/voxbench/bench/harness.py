@@ -230,12 +230,9 @@ def roc_points(test_labels, scores, speaker: int) -> np.ndarray:
     return np.vstack([[0.0, 0.0], curve])
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
-
-
 def roc_auc(points) -> float:
     points = np.asarray(points, dtype=np.float64)
-    return float(_trapezoid(points[:, 1], points[:, 0]))
+    return float(np.trapezoid(points[:, 1], points[:, 0]))
 
 
 def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: HarnessSettings) -> dict:
@@ -259,7 +256,7 @@ def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: Ha
 
     # recording-level majority vote, reported separately from frame accuracy
     rec_hits = []
-    for rec in np.unique(test_recordings):
+    for rec in np.flatnonzero(np.bincount(test_recordings)):
         rows = test_recordings == rec
         votes = np.bincount(predicted[rows], minlength=table.class_count)
         rec_hits.append(votes.argmax() == true_labels[rows][0])

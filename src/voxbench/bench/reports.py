@@ -62,6 +62,9 @@ REFERENCE_SCALING = {
 }
 
 
+ROW_BLOCK = 64  # rows of a 2-D float array formatted per write; one block's text is the writer's largest piece
+
+
 def format_float(x: float) -> str:
     return f"{x:.6g}"
 
@@ -107,10 +110,15 @@ def write_report_json(report: dict, path) -> None:
 def _write_json(write, value, depth: int) -> None:
     """Write value as json.dump(round_floats(value), indent=2, sort_keys=True) writes it at nesting depth.
 
-    An ndarray is written as its tolist(), one row at a time.
+    An ndarray is written as its tolist(): a 2-D float array (a ROC curve)
+    ROW_BLOCK rows per write, any other one row at a time.
     """
-    if isinstance(value, np.ndarray) and value.ndim < 2:
-        value = value.tolist()
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype.kind == "f":
+            _write_float_rows(write, value, depth)
+            return
+        if value.ndim < 2:
+            value = value.tolist()
     if isinstance(value, float):
         write(_json_float(float(format_float(value))))
     elif isinstance(value, str) or value is None or isinstance(value, int):
@@ -131,6 +139,26 @@ def _write_json(write, value, depth: int) -> None:
         write("\n" + "  " * depth + "]" if len(value) else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_float_rows(write, array: np.ndarray, depth: int) -> None:
+    """Write a 2-D float array at nesting depth as _write_json writes its tolist(), ROW_BLOCK rows per write."""
+    if not len(array):
+        write("[]")
+        return
+    row_separator = ",\n" + "  " * (depth + 1)
+    item_separator = ",\n" + "  " * (depth + 2)
+    row_open, row_close = "[\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1) + "]"
+
+    def row_text(row: list) -> str:
+        items = item_separator.join(_json_float(float(format_float(x))) for x in row)
+        return row_open + items + row_close if row else "[]"
+
+    separator = "[\n" + "  " * (depth + 1)
+    for start in range(0, len(array), ROW_BLOCK):
+        write(separator + row_separator.join(map(row_text, array[start : start + ROW_BLOCK].tolist())))
+        separator = row_separator
+    write("\n" + "  " * depth + "]")
 
 
 def _json_key(key) -> str:

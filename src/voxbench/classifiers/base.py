@@ -69,12 +69,12 @@ class LabeledDataset:
         mask = np.asarray(self.train_mask, dtype=bool)
         if points.ndim != 2 or labels.shape != (points.shape[0],) or mask.shape != labels.shape:
             raise ValueError("points must be n x d with matching labels and train_mask")
-        classes = np.unique(labels)
-        if not np.array_equal(classes, np.arange(classes.size)):
+        # n labels dense in 0..K-1 lie in [0, n), so bincount never counts past n
+        if labels.size and not (labels.min() >= 0 and labels.max() < labels.size and np.bincount(labels).all()):
             raise ValueError("labels must be dense in 0..K-1")
         if not mask.any():
             raise ValueError("training split is empty")
-        if np.unique(labels[mask]).size != classes.size:
+        if not np.bincount(labels[mask], minlength=labels.max() + 1).all():
             raise ValueError("every class must appear in the training split")
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)

@@ -404,9 +404,11 @@ def lpc_to_cepstrum(lpc, num_ceps: int) -> np.ndarray:
     q = a.shape[1]
     c = np.zeros((a.shape[0], num_ceps + 1))
     c[:, 1 : q + 1] = a[:, :num_ceps]
+    ks = np.arange(num_ceps + 1)
     for n in range(2, num_ceps + 1):
-        ks = np.arange(max(1, n - q), n)
-        c[:, n] += _dot_rows(ks * c[:, ks], a[:, n - ks - 1]) / n
+        lo = max(1, n - q)
+        # k * c_k for k = lo..n-1 against a_{n-k} for the same k: a's columns n-lo-1 down to 0
+        c[:, n] += _dot_rows(ks[lo:n] * c[:, lo:n], a[:, n - lo - 1 :: -1]) / n
     return c[0, 1:] if np.ndim(lpc) == 1 else c[:, 1:]
 
 

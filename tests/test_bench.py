@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from voxbench.audio_io import AudioSignal, load_wav, write_wav
 from voxbench.bench import corpus, harness
-from voxbench.bench.reports import round_floats, write_report_json
+from voxbench.bench.reports import ROW_BLOCK, round_floats, write_report_json
 from voxbench.bench import (
     ClassifierSpec,
     HarnessSettings,
@@ -672,6 +672,11 @@ def write_rounded_copy(report, path):
 
 
 SHAPES = array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+# 2-D float arrays are written ROW_BLOCK rows at a time: row counts at and across the block boundaries
+BLOCK_SHAPES = st.tuples(
+    st.sampled_from([0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]), st.integers(1, 3)
+)
+SPECIAL_FLOATS = st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 2.5e-310])
 REPORT_LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -681,6 +686,7 @@ REPORT_LEAVES = st.one_of(
     st.text(),  # quotes, backslashes, control characters and non-ASCII among them
     arrays(np.float64, SHAPES),
     arrays(np.int64, SHAPES),
+    arrays(np.float64, BLOCK_SHAPES, elements=st.one_of(SPECIAL_FLOATS, st.floats())),
 )
 REPORT_VALUES = st.recursive(
     REPORT_LEAVES,

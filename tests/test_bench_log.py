@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -54,3 +55,24 @@ def test_bench_log_rejects_other_input(bench_log, tmp_path, capsys):
     assert bench_log.main([str(run)]) == 2
     assert capsys.readouterr().err == "error: input is not the stdout of perfbench/run.py\n"
     assert not bench_log.TRAJECTORY.exists()
+
+
+def test_bench_log_names_the_repository_head_for_a_run_without_a_commit(bench_log, tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.invalid"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "parent"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True, text=True).stdout.strip()
+    monkeypatch.setattr(bench_log, "REPO", repo)
+    copied, committed = tmp_path / "copied.txt", tmp_path / "committed.txt"
+    copied.write_text(STDOUT.replace('"commit": "abc123"', '"commit": null'))
+    committed.write_text(STDOUT)
+    assert bench_log.main([str(copied), str(committed)]) == 0
+    rows = json.loads(bench_log.TRAJECTORY.read_text())
+    assert rows[0]["env"] == {"commit": None, "parent_commit": head, "numpy": "2.4.6", "src_sha256": "ff00"}
+    assert rows[1]["env"] == {"commit": "abc123", "numpy": "2.4.6", "src_sha256": "ff00"}
+
+    monkeypatch.setattr(bench_log, "REPO", tmp_path)  # not a repository
+    assert bench_log.main([str(copied)]) == 0
+    assert json.loads(bench_log.TRAJECTORY.read_text())[2]["env"]["parent_commit"] is None

@@ -61,6 +61,29 @@ def test_dataset_requires_all_classes_in_train():
         dataset([[0.0], [1.0]], [0, 1], train_mask=np.array([True, False]))
 
 
+@pytest.mark.parametrize(
+    "labels, train_mask, message",
+    [
+        ([0, -1, 1], None, "labels must be dense in 0..K-1"),
+        ([-3, -2, -1], None, "labels must be dense in 0..K-1"),
+        ([0, 2, 2], None, "labels must be dense in 0..K-1"),
+        ([0, 10**12], None, "labels must be dense in 0..K-1"),  # rejected before anything counts up to it
+        ([1, 1, 2], None, "labels must be dense in 0..K-1"),
+        ([0, 1, 1], [True, True, False], None),
+        ([0, 1, 1], [False, False, False], "training split is empty"),
+        ([0, 1, 2], [True, True, False], "every class must appear in the training split"),
+        ([0, 1, 2, 0], [True, False, True, True], "every class must appear in the training split"),
+    ],
+)
+def test_dataset_label_checks_keep_their_messages(labels, train_mask, message):
+    points = np.zeros((len(labels), 1))
+    if message is None:
+        assert dataset(points, labels, train_mask).class_count == max(labels) + 1
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataset(points, labels, train_mask)
+
+
 # --- weighted KNN ----------------------------------------------------------------
 
 def test_knn_nearest_point_wins():

@@ -86,6 +86,27 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_pca_bench_loads_no_numpy_ma(cli_corpus, tmp_path):
+    # np.unique imports numpy.ma (about 8 ms) on its first call; no sweep stage needs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({
+        "extractors": [{"kind": "mfcc"}],
+        "reducers": [{"method": "pca"}],
+        "classifiers": [{"name": "weighted knn", "k": 3}],
+    }))
+    argv = ["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys; from voxbench.cli import main; "
+        f"status = main({argv!r}); print(status, 'numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "out" / "report.json").exists()
+
+
 @pytest.mark.filterwarnings("ignore:more than 60% of blocks are voiced")
 def test_vad_roundtrip(cli_corpus, tmp_path):
     wav = next(iter(sorted(cli_corpus.glob("*.wav"))))

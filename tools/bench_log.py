@@ -9,6 +9,10 @@ stdout of one ``perfbench/run.py`` run. One row per run is appended to
 BENCH_sweep.json: workload, corpus seed, trace flag, the run's ``env``
 (commit, src digest, library versions, machine), the report.json SHA-256,
 the correctness and failure counts, and every metric with its unit.
+
+A run from a copied tree has no commit (``env.commit`` is null). Its row
+records this repository's ``HEAD`` as ``env.parent_commit``, beside
+``env.src_sha256``, so the tree it was copied from or built on stays named.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 
-TRAJECTORY = Path(__file__).resolve().parents[1] / "BENCH_sweep.json"
+REPO = Path(__file__).resolve().parents[1]
+TRAJECTORY = REPO / "BENCH_sweep.json"
 HEADER = re.compile(r"^workload (\S+) seed (-?\d+) trace ([01]):")
 DIGESTS = re.compile(r"^report\.json sha256 ([0-9a-f ]+) \(")
 
@@ -46,6 +52,17 @@ def parse_run(text: str) -> dict:
     }
 
 
+def head_commit():
+    """The HEAD commit of the repository that holds this script, or None outside git."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=REPO, capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("runs", nargs="*", help="saved perfbench stdout files; standard input when none")
@@ -61,6 +78,11 @@ def main(argv=None) -> int:
     if args.note:
         for row in rows:
             row["note"] = args.note
+    copied = [row for row in rows if row["env"].get("commit") is None]
+    if copied:
+        parent = head_commit()
+        for row in copied:
+            row["env"]["parent_commit"] = parent
     trajectory = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else []
     trajectory.extend(rows)
     TRAJECTORY.write_text(json.dumps(trajectory, indent=2, sort_keys=True) + "\n")
