@@ -44,13 +44,6 @@ class FrameMatrix:
     frame_length_samples: int
     hop_samples: int
 
-    def __post_init__(self):
-        if not 0 < self.hop_samples <= self.frame_length_samples:
-            raise ValueError("hop must satisfy 0 < hop <= frame_length")
-        # overlap = 1 - hop/frame must stay within [0, 0.8]
-        if self.hop_samples * 5 < self.frame_length_samples:
-            raise ValueError("frame overlap above 80% is not supported")
-
     @property
     def frame_count(self) -> int:
         return self.frames.shape[0]

@@ -132,28 +132,32 @@ def _speaker_voices(n_speakers: int, seed: int) -> list[dict]:
     return voices
 
 
-def _formant_filter(formants, sample_rate: int) -> np.ndarray:
-    """Denominator polynomial of a cascade of three two-pole resonators."""
-    poly = np.array([1.0])
+def _formant_sections(formants, sample_rate: int) -> tuple[np.ndarray, float]:
+    """Denominators of the three two-pole resonators, one row each, and their largest pole radius.
+
+    A resonator's pole radius follows from its bandwidth alone, so the
+    narrowest one has the slowest pole.
+    """
+    sections = []
     for freq, bw in zip(formants, FORMANT_BANDWIDTHS_HZ):
         radius = np.exp(-np.pi * bw / sample_rate)
         theta = 2.0 * np.pi * freq / sample_rate
-        poly = np.polymul(poly, [1.0, -2.0 * radius * np.cos(theta), radius**2])
-    return poly
+        sections.append([1.0, -2.0 * radius * np.cos(theta), radius**2])
+    return np.array(sections), float(np.exp(-np.pi * min(FORMANT_BANDWIDTHS_HZ) / sample_rate))
 
 
-def _all_pole(denominator: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x through the stable filter 1 / denominator from rest, as lfilter([1.0], denominator, x).
+def _all_pole(sections: np.ndarray, slowest: float, x: np.ndarray) -> np.ndarray:
+    """x through the cascade of the stable filters 1 / sections[k] from rest, as sosfilt.
 
     The FFT product is a circular convolution. Its length N leaves, past
     len(x), room for the slowest pole's response to decay below
     IMPULSE_DECAY, so the wrapped-around tail is below that; N is a power of
-    two because other lengths are several times slower.
+    two because other lengths are several times slower. Each section is
+    transformed on its own: their product polynomial loses digits near DC.
     """
-    slowest = np.abs(np.roots(denominator)).max()
     tail = math.ceil(math.log(IMPULSE_DECAY) / math.log(slowest))
     n = 1 << (len(x) + tail - 1).bit_length()
-    return np.fft.irfft(np.fft.rfft(x, n) / np.fft.rfft(denominator, n), n)[: len(x)]
+    return np.fft.irfft(np.fft.rfft(x, n) / np.fft.rfft(sections, n).prod(axis=0), n)[: len(x)]
 
 
 def _render_sample(voice: dict, seconds: float, sample_rate: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,7 +177,7 @@ def _render_sample(voice: dict, seconds: float, sample_rate: int, rng: np.random
         position += sample_rate / (pitch * (1.0 + PULSE_PERIOD_JITTER * rng.normal()))
     excitation += ASPIRATION_NOISE * rng.normal(size=n_voiced)
 
-    voiced = _all_pole(_formant_filter(formants, sample_rate), excitation)
+    voiced = _all_pole(*_formant_sections(formants, sample_rate), excitation)
     voiced *= VOICED_RMS / np.sqrt(np.mean(voiced**2))
 
     samples = np.concatenate([rng.normal(0.0, SILENCE_NOISE_AMP, n_lead), voiced])[:n_total]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,14 +12,14 @@ from ..errors import DimensionMismatch
 
 # the least value of each trainer parameter that counts something (hidden: every layer size)
 LOWER_BOUNDS = {"k": 1, "min_leaf": 1, "n_trees": 1, "hidden": 1, "batch_size": 1, "max_splits": 0, "epochs": 0}
-# rates and scales, which must be > 0; None selects the trainer's default
+# rates and scales, which must be > 0 and finite; None selects the trainer's default
 POSITIVE_PARAMETERS = ("box_c", "kernel_scale", "lr")
 DISTANCE_BLOCK_ROWS = 64  # rows per block temporary of squared_distances (measured: 32-256 time alike)
 
 
 def check_ranges(params: dict, prefix: str = "") -> None:
-    """Raise ValueError if a parameter among params lies below its LOWER_BOUNDS entry, is a rate or scale <= 0,
-    or is a kernel_scale whose 2*kernel_scale**2 is not a finite normal float.
+    """Raise ValueError if a parameter among params lies below its LOWER_BOUNDS entry, is a rate or scale <= 0
+    or infinite, or is a kernel_scale whose 2*kernel_scale**2 is not a finite normal float.
 
     prefix leads the message.
     """
@@ -27,6 +28,8 @@ def check_ranges(params: dict, prefix: str = "") -> None:
             raise ValueError(f"{prefix}{key} must be >= {LOWER_BOUNDS[key]}, got {value!r}")
         if key in POSITIVE_PARAMETERS and value is not None and not value > 0:
             raise ValueError(f"{prefix}{key} must be > 0, got {value!r}")
+        if key in POSITIVE_PARAMETERS and value == math.inf:
+            raise ValueError(f"{prefix}{key} must be finite, got {value!r}")
         if key == "kernel_scale" and value is not None and not _kernel_divisor_is_normal(value):
             raise ValueError(f"{prefix}kernel_scale must make 2*kernel_scale**2 a finite normal float, got {value!r}")
 

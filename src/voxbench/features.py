@@ -83,7 +83,8 @@ class ExtractorConfig:
             raise ValueError("dct_kind must be 'dct2' or 'idct'")
         check_frame_timing(self.frame_ms, self.hop_ms)
         if self.kind == "mfcc":
-            _check_mel_filter_count(self.filter_count)
+            if self.filter_count < 2:
+                raise ValueError("filter_count must be >= 2")
             # the DCT of filter_count log energies has filter_count coefficients, c0 first
             kept = self.filter_count - (0 if self.include_c0 else 1)
             if kept < self.num_ceps:
@@ -93,11 +94,6 @@ class ExtractorConfig:
         # plp's symmetric loudness spectrum must yield lpc_order_q + 1 autocorrelation lags
         if self.kind == "plp" and 2 * (self.filter_count + 1) < self.lpc_order_q + 1:
             raise ValueError("filter_count too small for the requested LPC order")
-
-
-def _check_mel_filter_count(filter_count: int) -> None:
-    if filter_count < 2:
-        raise ValueError("filter_count must be >= 2")
 
 
 def default_config(kind: str, **overrides) -> ExtractorConfig:
@@ -163,7 +159,6 @@ def mel_filterbank(config: ExtractorConfig, sample_rate: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _mel_bank(filter_count: int, fft_size: int, sample_rate: int) -> np.ndarray:
-    _check_mel_filter_count(filter_count)
     n_bins = fft_size // 2 + 1
     if filter_count > n_bins - 2:
         raise FilterbankTooDense(f"{filter_count} filters cannot fit into {n_bins} FFT bins")

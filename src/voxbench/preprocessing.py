@@ -115,17 +115,9 @@ def remove_silence(
         voiced[first : last + 1] = True
 
     min_segment = int(round(min_segment_ms * signal.sample_rate / 1000.0))
-    segments: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(voiced):
-        if flag and start is None:
-            start = i * block
-        elif not flag and start is not None:
-            segments.append((start, i * block))
-            start = None
-    if start is not None:
-        segments.append((start, n_blocks * block))
-    segments = [(s, e) for s, e in segments if e - s >= min_segment]
+    # run edges: a voiced run starts at each even edge and ends at the next
+    edges = (np.flatnonzero(np.diff(np.concatenate(([False], voiced, [False])))) * block).tolist()
+    segments = [(s, e) for s, e in zip(edges[::2], edges[1::2]) if e - s >= min_segment]
     if not segments:
         raise NoVoicedContent("all voiced segments were shorter than the minimum length")
 

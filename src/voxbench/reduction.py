@@ -7,6 +7,7 @@ kernel is available for comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,6 +120,8 @@ class SneConfig:
             raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.learning_rate == math.inf:
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.kernel not in SNE_KERNELS:
             raise ValueError(f"kernel must be one of {SNE_KERNELS}")
 
@@ -132,22 +135,15 @@ class Embedding:
     cost_trace: np.ndarray = field(repr=False)
 
 
-def _sq_distances_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """Write the squared distances between the rows of x into out; scratch is a second n x n buffer."""
-    sq = (x**2).sum(axis=1)
-    np.add(sq[:, None], sq[None, :], out=out)
-    np.matmul(x, x.T, out=scratch)
-    scratch *= 2.0
-    out -= scratch
-    np.fill_diagonal(out, 0.0)
-    np.maximum(out, 0.0, out=out)
-
-
 def pairwise_sq_distances(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    d2 = np.empty((len(x), len(x)))
-    _sq_distances_into(x, d2, np.empty_like(d2))
-    return d2
+    sq = (x**2).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :]
+    cross = x @ x.T
+    cross *= 2.0
+    d2 -= cross
+    np.fill_diagonal(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def calibrated_conditionals(data, perplexity: float) -> np.ndarray:
@@ -261,12 +257,26 @@ def sne_gradient(p_cond: np.ndarray, q_cond: np.ndarray, coords: np.ndarray) -> 
     return 2.0 * (m.sum(axis=1)[:, None] * coords - m @ coords)
 
 
-def _student_t_q(d2: np.ndarray, q=None) -> tuple[np.ndarray, np.ndarray]:
-    """The joint Student-t q and the kernel w = 1/(1 + d2), which is written over d2; q=None allocates q."""
+def _student_t_q(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The joint Student-t q and the kernel w = 1/(1 + d2), which is written over d2."""
     w = np.add(d2, 1.0, out=d2)
     np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
-    return np.divide(w, w.sum(), out=q), w
+    return w / w.sum(), w
+
+
+def _student_t_step(
+    y: np.ndarray, p: np.ndarray, support: np.ndarray, p_support: np.ndarray, log_p_support: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """sne_cost and the gradient of the Student-t embedding y against the joint P.
+
+    support holds the flat indices where P > 0, p_support and log_p_support P and log P there.
+    """
+    q, w = _student_t_q(pairwise_sq_distances(y))
+    cost = _kl(p_support, log_p_support, q, support)
+    m = np.subtract(p, q, out=q)  # (p - q) * w, over q
+    m *= w
+    return cost, 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
 
 
 def _gaussian_terms(p: np.ndarray) -> tuple:
@@ -332,21 +342,18 @@ def sne_fit(data, config: SneConfig) -> Embedding:
     A Gaussian iteration holds two n x n arrays: P + P^T, written over P, and
     one buffer of exponentials. It takes the cost and the gradient of sne_cost
     and sne_gradient from the row normalisers and three matrix products
-    (_gaussian_step), so q, p - q and m = pq + pq^T are never formed. A
-    Student-t iteration writes into two n x n buffers besides its joint P.
+    (_gaussian_step), so q, p - q and m = pq + pq^T are never formed.
     """
     x, perplexity = _checked_rows(data, config.perplexity)
     n = x.shape[0]
     p = calibrated_conditionals(x, perplexity)
-    if config.kernel == "student-t":
+    if config.kernel == "gaussian":
+        step, args = _gaussian_step, (_gaussian_terms(p), np.empty((n, n)))
+    else:
         p = symmetrize_conditionals(p)
         support = np.flatnonzero(p > 0)
         p_support = p.take(support)
-        log_p_support = np.log(p_support)
-        q = np.empty((n, n))
-    else:
-        terms = _gaussian_terms(p)
-    w = np.empty((n, n))  # E of a Gaussian step; d2, then the kernel, of a Student-t one
+        step, args = _student_t_step, (p, support, p_support, np.log(p_support))
 
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, INIT_STD, size=(n, config.target_dim))
@@ -355,15 +362,7 @@ def sne_fit(data, config: SneConfig) -> Embedding:
 
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is caught below
         for it in range(config.max_iter):
-            if config.kernel == "gaussian":
-                cost, grad = _gaussian_step(y, terms, w)
-            else:
-                _sq_distances_into(y, w, q)  # d2 into w; q is scratch
-                _student_t_q(w, q)  # the kernel over d2, the joint q into q
-                cost = _kl(p_support, log_p_support, q, support)
-                m = np.subtract(p, q, out=q)  # (p - q) * w, over q
-                m *= w
-                grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+            cost, grad = step(y, *args)
             if not np.isfinite(cost):
                 raise NonFiniteCost(f"cost diverged at iteration {it}")
             trace[it] = cost

@@ -4,9 +4,17 @@ import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from voxbench.audio_io import AudioSignal, frame_signal, hamming_window, load_wav, write_wav
+from voxbench.audio_io import (
+    AudioSignal,
+    check_frame_timing,
+    frame_layout,
+    frame_signal,
+    hamming_window,
+    load_wav,
+    write_wav,
+)
 from voxbench.errors import EmptyAudio, NotWav, SignalTooShort, UnreadableAudio, UnsupportedEncoding
 
 
@@ -171,6 +179,20 @@ def test_frame_overlap_ceiling():
     sig = AudioSignal(samples=np.ones(16000) / 2, sample_rate=16000)
     with pytest.raises(ValueError):
         frame_signal(sig, frame_ms=50.0, hop_ms=5.0)  # 90% overlap
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 11025, 16000, 48000])
+@given(frame_ms=st.floats(10.0, 50.0), hop_ms=st.floats(2.0, 50.0))
+@example(frame_ms=10.07, hop_ms=2.0141)  # at 8 kHz, 81-sample frames 16 samples apart: above 80% overlap in samples
+def test_frame_signal_accepts_every_timing_the_timing_check_accepts(sample_rate, frame_ms, hop_ms):
+    try:
+        check_frame_timing(frame_ms, hop_ms)
+    except ValueError:
+        assume(False)
+    sig = AudioSignal(samples=np.random.default_rng(0).normal(size=sample_rate // 2), sample_rate=sample_rate)
+    frame_length, hop, count = frame_layout(sig, frame_ms, hop_ms)
+    fm = frame_signal(sig, frame_ms, hop_ms)
+    assert fm.frames.shape == (count, frame_length) and fm.hop_samples == hop
 
 
 def test_zero_overlap_reconstruction():

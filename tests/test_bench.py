@@ -64,21 +64,24 @@ def test_corpus_same_seed_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-# At 48 kHz the expanded sixth-order denominator has lost digits near DC: lfilter
-# itself is 1.9e-9 off the cascade of the three second-order sections there.
-@pytest.mark.parametrize("sample_rate, rtol", [(8000, 1e-9), (16000, 1e-9), (48000, 1e-8)])
-def test_all_pole_matches_lfilter_on_formant_filters(sample_rate, rtol):
-    from scipy.signal import lfilter
+def sosfilt_render(sections, slowest, x):
+    """The time-domain recursion over the three resonators, in place of corpus._all_pole."""
+    from scipy.signal import sosfilt
 
+    return sosfilt(np.hstack([np.tile([1.0, 0.0, 0.0], (len(sections), 1)), sections]), x)
+
+
+@pytest.mark.parametrize("sample_rate", [8000, 16000, 48000])
+def test_all_pole_matches_sosfilt_on_formant_filters(sample_rate):
     rng = np.random.default_rng(sample_rate)
     x = rng.normal(size=sample_rate // 2)
     x[:: sample_rate // 150] += 1.0
     for position in (0.0, 0.5, 1.0):
         formants = [lo + (hi - lo) * position for lo, hi in corpus.FORMANT_RANGES_HZ]
-        denominator = corpus._formant_filter(formants, sample_rate)
-        want = lfilter([1.0], denominator, x)
-        got = corpus._all_pole(denominator, x)
-        assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+        sections, slowest = corpus._formant_sections(formants, sample_rate)
+        want = sosfilt_render(sections, slowest, x)
+        got = corpus._all_pole(sections, slowest, x)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize(
@@ -96,16 +99,14 @@ def test_all_pole_matches_lfilter_on_formant_filters(sample_rate, rtol):
     ],
 )
 def test_corpus_bytes_equal_the_lfilter_render(tmp_path, monkeypatch, shape, seed):
-    """The test and benchmark corpora are the ones the time-domain recursion writes."""
-    from scipy.signal import lfilter
-
+    """The test and benchmark corpora are the ones the time-domain recursion (sosfilt) writes."""
     generate_synthetic_corpus(*shape, seed=seed, out_dir=tmp_path / "fft")
-    monkeypatch.setattr(corpus, "_all_pole", lambda denominator, x: lfilter([1.0], denominator, x))
-    generate_synthetic_corpus(*shape, seed=seed, out_dir=tmp_path / "lfilter")
+    monkeypatch.setattr(corpus, "_all_pole", sosfilt_render)
+    generate_synthetic_corpus(*shape, seed=seed, out_dir=tmp_path / "sosfilt")
     names = sorted(p.name for p in (tmp_path / "fft").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "lfilter").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "sosfilt").iterdir())
     for name in names:
-        assert (tmp_path / "fft" / name).read_bytes() == (tmp_path / "lfilter" / name).read_bytes(), name
+        assert (tmp_path / "fft" / name).read_bytes() == (tmp_path / "sosfilt" / name).read_bytes(), name
 
 
 def test_corpus_speakers_have_distinct_spectra(tmp_path):

@@ -504,6 +504,9 @@ def test_trainer_and_spec_check_share_range_rules(name, trainer, params):
          "kernel_scale must make 2*kernel_scale**2 a finite normal float, got 1e-200"),
         ("fine svm", svm_train, {"kernel_scale": 1e200},
          "kernel_scale must make 2*kernel_scale**2 a finite normal float, got 1e+200"),
+        ("fine svm", svm_train, {"box_c": float("inf")}, "box_c must be finite, got inf"),
+        ("feed forward", ffnn_train, {"lr": float("inf")}, "lr must be finite, got inf"),
+        ("fine svm", svm_train, {"kernel_scale": float("inf")}, "kernel_scale must be finite, got inf"),
     ],
 )
 def test_rates_scales_and_budgets_are_range_checked(name, trainer, params, message):

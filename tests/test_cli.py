@@ -320,6 +320,8 @@ def test_train_rejects_mistyped_parameter(embedding_csv, tmp_path, capsys):
         ("tree", "max_splits", -3, "classifier 'complex tree' parameter max_splits must be >= 0, got -3"),
         ("svm", "kernel_scale", 1e-200,
          "classifier 'fine svm' parameter kernel_scale must make 2*kernel_scale**2 a finite normal float, got 1e-200"),
+        ("ffnn", "lr", float("inf"), "classifier 'feed forward' parameter lr must be finite, got inf"),
+        ("svm", "box_c", float("inf"), "classifier 'fine svm' parameter box_c must be finite, got inf"),
     ],
 )
 def test_train_and_grid_reject_a_meaningless_classifier_setting(
@@ -327,7 +329,7 @@ def test_train_and_grid_reject_a_meaningless_classifier_setting(
 ):
     model_file = tmp_path / "model.pkl"
     assert main(["train", "--in", str(embedding_csv), "--model", model,
-                 "--params", f"{key}={value}", "--out", str(model_file)]) == 2
+                 "--params", f"{key}={json.dumps(value)}", "--out", str(model_file)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not model_file.exists()
     _no_wav_reads(monkeypatch)
@@ -600,6 +602,8 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"reducers": [{"method": "pca", "max_iter": 50}]}, "reducer 'pca' does not read max_iter"),
         ({"reducers": [{"method": "pca", "learning_rate": 0.5}]}, "reducer 'pca' does not read learning_rate"),
         ({"reducers": [{"method": "pca", "kernel": "student-t"}]}, "reducer 'pca' does not read kernel"),
+        ({"reducers": [{"method": "sne", "learning_rate": float("inf")}]},
+         "reducer 'sne': learning_rate must be finite, got inf"),
     ],
 )
 def test_bench_rejects_malformed_grid_before_reading(cli_corpus, tmp_path, monkeypatch, capsys, grid, message):

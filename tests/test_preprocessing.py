@@ -2,10 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from voxbench.audio_io import AudioSignal
 from voxbench.errors import DegenerateSilence, NoVoicedContent, TooShort
-from voxbench.preprocessing import fit_silence_model, remove_silence, standardize
+from voxbench.preprocessing import SilenceModel, fit_silence_model, remove_silence, standardize
 
 SR = 16000
 HEAD = 3200  # 200 ms at 16 kHz
@@ -168,3 +169,47 @@ def test_endpoints_only_keeps_interior_silence():
     kept = remove_silence(sig, model, endpoints_only=True)
     assert len(kept.segments) == 1
     assert len(kept.trimmed) > len(dropped.trimmed)
+
+
+def per_block_segments(voiced, block, min_segment):
+    """Voiced runs of blocks as sample intervals, one block at a time: the reference for remove_silence."""
+    segments, start = [], None
+    for i, flag in enumerate(voiced):
+        if flag and start is None:
+            start = i * block
+        elif not flag and start is not None:
+            segments.append((start, i * block))
+            start = None
+    if start is not None:
+        segments.append((start, len(voiced) * block))
+    return [(s, e) for s, e in segments if e - s >= min_segment]
+
+
+@given(
+    flags=st.lists(st.booleans(), min_size=1, max_size=40),
+    endpoints_only=st.booleans(),
+    min_segment_ms=st.sampled_from([0.0, 10.0, 25.0, 50.0]),  # 0, 1, 2.5 and 5 blocks
+    remainder=st.integers(0, 159),
+)
+@example(flags=[True, False, True, True, False, False, True], endpoints_only=False, min_segment_ms=0.0, remainder=0)
+@example(flags=[True, False, True, True, False, False, True], endpoints_only=False, min_segment_ms=25.0, remainder=7)
+@example(flags=[False, True, False, False, True, False], endpoints_only=True, min_segment_ms=50.0, remainder=0)
+def test_segments_are_the_runs_of_voiced_blocks(flags, endpoints_only, min_segment_ms, remainder):
+    block = SR // 100  # the default 10 ms block
+    model = SilenceModel(mu=0.0, sigma=1.0)  # |u| > 3 voices a block
+    samples = np.concatenate([np.repeat(np.where(flags, 10.0, 0.0), block), np.zeros(remainder)])
+    voiced = np.array(flags)
+    if endpoints_only and voiced.any():
+        voiced[voiced.argmax() : len(voiced) - voiced[::-1].argmax()] = True
+    expected = per_block_segments(voiced, block, round(min_segment_ms * SR / 1000))
+    sig = AudioSignal(samples=samples, sample_rate=SR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # mostly voiced patterns warn of a voiced head
+        if not expected:
+            with pytest.raises(NoVoicedContent):
+                remove_silence(sig, model, min_segment_ms=min_segment_ms, endpoints_only=endpoints_only)
+            return
+        result = remove_silence(sig, model, min_segment_ms=min_segment_ms, endpoints_only=endpoints_only)
+    assert result.segments == expected
+    assert all(type(bound) is int for segment in result.segments for bound in segment)
+    np.testing.assert_array_equal(result.trimmed.samples, np.concatenate([samples[s:e] for s, e in expected]))
