@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .audio_io import AudioSignal, FrameMatrix, frame_signal, hamming_window, load_wav, write_wav
+from .audio_io import AudioSignal, frame_signal, hamming_window, load_wav, write_wav
 from .classifiers import (
     LabeledDataset,
     TrainedClassifier,
@@ -41,7 +41,6 @@ __all__ = [
     "Embedding",
     "ExtractorConfig",
     "FeatureMatrix",
-    "FrameMatrix",
     "LabeledDataset",
     "PcaModel",
     "SilenceModel",

@@ -36,19 +36,6 @@ class AudioSignal:
         return self.samples.size
 
 
-@dataclass(frozen=True)
-class FrameMatrix:
-    """Stacked analysis frames (frame_count x frame_length)."""
-
-    frames: np.ndarray
-    frame_length_samples: int
-    hop_samples: int
-
-    @property
-    def frame_count(self) -> int:
-        return self.frames.shape[0]
-
-
 def load_wav(path) -> AudioSignal:
     """Read a mono 16-bit PCM RIFF/WAVE file into a normalized AudioSignal.
 
@@ -126,12 +113,11 @@ def frame_layout(signal: AudioSignal, frame_ms: float, hop_ms: float) -> tuple[i
     return frame_length, hop, (len(signal) - frame_length) // hop + 1
 
 
-def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> FrameMatrix:
-    """Slice a signal into overlapping frames; trailing partial frames are dropped."""
+def frame_signal(signal: AudioSignal, frame_ms: float, hop_ms: float) -> np.ndarray:
+    """The (count x length) frames of frame_layout, hop samples apart; trailing partial frames are dropped."""
     frame_length, hop, _ = frame_layout(signal, frame_ms, hop_ms)
     windows = np.lib.stride_tricks.sliding_window_view(signal.samples, frame_length)
-    frames = windows[::hop].copy()
-    return FrameMatrix(frames=frames, frame_length_samples=frame_length, hop_samples=hop)
+    return windows[::hop].copy()
 
 
 def hamming_window(frame_length: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Benchmark harness: synthetic corpus, sweep orchestration and reports."""
 
+from ..reduction import ReducerSpec
 from .corpus import (
     CorpusManifest,
     ManifestEntry,
@@ -12,7 +13,6 @@ from .harness import (
     ClassifierSpec,
     FrameTable,
     HarnessSettings,
-    ReducerSpec,
     ScalingCurve,
     SweepGrid,
     default_grid,

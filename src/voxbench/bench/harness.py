@@ -21,10 +21,10 @@ import numpy as np
 
 from ..audio_io import load_wav
 from ..classifiers import CLASSIFIER_NAMES, LabeledDataset, check_classifier, predict, train_by_name
-from ..errors import PipelineError, UndefinedRoc, check_fields_like_defaults, check_unread_at_defaults
+from ..errors import PipelineError, UndefinedRoc
 from ..features import EXTRACTOR_KINDS, ExtractorConfig, check_frame_cap, default_config, extract
 from ..preprocessing import DEFAULT_MIN_SEGMENT_MS, DEFAULT_U_THRESHOLD, fit_silence_model, remove_silence
-from ..reduction import SneConfig, reduce_for_pipeline
+from ..reduction import REDUCER_NAMES, ReducerSpec, is_transductive, reduce_for_pipeline
 from .corpus import CorpusManifest, derive_seed
 from .reports import (
     REFERENCE_ACCURACY,
@@ -36,46 +36,8 @@ from .reports import (
     write_report_json,
 )
 
-REDUCER_NAMES = ("sne", "pca")
-# the ReducerSpec fields each method never reads; they must keep their defaults
-REDUCER_UNREAD_KNOBS = {"sne": (), "pca": ("perplexity", "max_iter", "learning_rate", "kernel")}
 DEFAULT_MAX_FRAMES_PER_FILE = 60
 DEFAULT_RECALL_THRESHOLD = 0.5
-
-
-@dataclass(frozen=True)
-class ReducerSpec:
-    """Reduction method plus its knobs, defaulting to SneConfig's; name defaults to the method.
-
-    A knob that the method never reads (REDUCER_UNREAD_KNOBS) must keep its default.
-    """
-
-    method: str
-    target_dim: int = SneConfig.target_dim
-    perplexity: Optional[float] = SneConfig.perplexity
-    max_iter: int = SneConfig.max_iter
-    learning_rate: float = SneConfig.learning_rate
-    kernel: str = SneConfig.kernel
-
-    def __post_init__(self):
-        if self.method not in REDUCER_NAMES:
-            raise ValueError(f"method must be one of {REDUCER_NAMES}")
-        check_fields_like_defaults(self, prefix=f"reducer {self.method!r} ")
-        try:
-            self.sne_config(seed=0)  # the range checks of SneConfig
-        except ValueError as exc:
-            raise ValueError(f"reducer {self.method!r}: {exc}") from None
-        check_unread_at_defaults(self, REDUCER_UNREAD_KNOBS[self.method], f"reducer {self.method!r}")
-
-    def sne_config(self, seed: int) -> SneConfig:
-        return SneConfig(
-            target_dim=self.target_dim,
-            perplexity=self.perplexity,
-            max_iter=self.max_iter,
-            learning_rate=self.learning_rate,
-            kernel=self.kernel,
-            seed=seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -382,8 +344,7 @@ def _grid_entries(
                 tables[extractor.kind].features,
                 masks[extractor.kind],
                 reducer.method,
-                target_dim=reducer.target_dim,
-                sne_config=reducer.sne_config(seed),
+                config=reducer.sne_config(seed),
             )
         except PipelineError as exc:
             return None, _failure(exc)
@@ -396,7 +357,7 @@ def _grid_entries(
             "reducer": reducer.method,
             "classifier": classifier.name,
             "seed": derive_seed(master_seed, combo_tag),
-            "transductive": reducer.method == "sne",
+            "transductive": is_transductive(reducer.method),
             "split_rotation": rotation % 10**9,
         }
 
@@ -638,7 +599,6 @@ __all__ = [
     "ClassifierSpec",
     "FrameTable",
     "HarnessSettings",
-    "ReducerSpec",
     "ScalingCurve",
     "SweepGrid",
     "confusion_matrix",

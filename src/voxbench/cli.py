@@ -18,7 +18,6 @@ from .audio_io import load_wav, write_wav
 from .bench import (
     ClassifierSpec,
     HarnessSettings,
-    ReducerSpec,
     ScalingCurve,
     SweepGrid,
     generate_synthetic_corpus,
@@ -30,7 +29,6 @@ from .bench import (
 from .bench.harness import (
     DEFAULT_MAX_FRAMES_PER_FILE,
     DEFAULT_RECALL_THRESHOLD,
-    REDUCER_NAMES,
     default_grid,
     recording_features,
 )
@@ -45,7 +43,7 @@ from .preprocessing import (
     fit_silence_model,
     remove_silence,
 )
-from .reduction import SNE_KERNELS, SneConfig, reduce_for_pipeline
+from .reduction import REDUCER_NAMES, SNE_KERNELS, ReducerSpec, SneConfig, reduce_for_pipeline
 
 MODEL_FORMAT = "voxbench-model"
 MODEL_FORMAT_VERSION = 1
@@ -193,7 +191,7 @@ def cmd_reduce(args) -> int:
     )
     sources, speakers, frames, matrix = read_feature_csv(args.in_path)
     mask = np.ones(len(matrix), bool)
-    reduced, info = reduce_for_pipeline(matrix, mask, spec.method, spec.target_dim, spec.sne_config(args.seed))
+    reduced, info = reduce_for_pipeline(matrix, mask, spec.method, config=spec.sne_config(args.seed))
     write_feature_csv(args.out_path, zip(sources, speakers, frames, reduced), args.dim, "y")
     if args.trace:
         write_csv(args.trace, ["iteration", "cost"], ([i, format_float(c)] for i, c in enumerate(info["cost_trace"])))
@@ -301,10 +299,7 @@ def _grid_from_json(path) -> tuple[SweepGrid, dict]:
     curve = raw.get("scaling_curve", {})
     if not isinstance(curve, dict):
         raise ValueError("grid 'scaling_curve' must be an object")
-    curve_keys = [f.name for f in dataclasses.fields(ScalingCurve)]
-    unknown = sorted(set(curve) - set(curve_keys))
-    if unknown:
-        raise ValueError(f"grid 'scaling_curve' takes no key {', '.join(unknown)}; it takes {', '.join(curve_keys)}")
+    check_parameter_names("grid 'scaling_curve'", curve, [f.name for f in dataclasses.fields(ScalingCurve)])
     default = default_grid()
     grid = SweepGrid(
         extractors=_grid_specs(raw, "extractors", "kind", _extractor_spec) or default.extractors,

@@ -19,6 +19,8 @@ from .errors import (
     DimensionMismatch,
     NonFiniteCost,
     PerplexityUnreachable,
+    check_fields_like_defaults,
+    check_unread_at_defaults,
 )
 
 PERPLEXITY_TOL = 1e-4
@@ -124,6 +126,52 @@ class SneConfig:
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.kernel not in SNE_KERNELS:
             raise ValueError(f"kernel must be one of {SNE_KERNELS}")
+
+
+REDUCER_NAMES = ("sne", "pca")
+# the ReducerSpec fields each method never reads; they must keep their defaults
+REDUCER_UNREAD_KNOBS = {"sne": (), "pca": ("perplexity", "max_iter", "learning_rate", "kernel")}
+
+
+def is_transductive(method: str) -> bool:
+    """True for the neighbor embedding: it has no out-of-sample map, so it fits on every row, test rows included."""
+    return method == "sne"
+
+
+@dataclass(frozen=True)
+class ReducerSpec:
+    """Reduction method plus its knobs, defaulting to SneConfig's; name defaults to the method.
+
+    A knob that the method never reads (REDUCER_UNREAD_KNOBS) must keep its default.
+    """
+
+    method: str
+    target_dim: int = SneConfig.target_dim
+    perplexity: Optional[float] = SneConfig.perplexity
+    max_iter: int = SneConfig.max_iter
+    learning_rate: float = SneConfig.learning_rate
+    kernel: str = SneConfig.kernel
+
+    def __post_init__(self):
+        if self.method not in REDUCER_NAMES:
+            raise ValueError(f"method must be one of {REDUCER_NAMES}")
+        check_fields_like_defaults(self, prefix=f"reducer {self.method!r} ")
+        try:
+            self.sne_config(seed=0)  # the range checks of SneConfig
+        except ValueError as exc:
+            raise ValueError(f"reducer {self.method!r}: {exc}") from None
+        check_unread_at_defaults(self, REDUCER_UNREAD_KNOBS[self.method], f"reducer {self.method!r}")
+
+    def sne_config(self, seed: int) -> SneConfig:
+        """The config that reduce_for_pipeline takes for this spec."""
+        return SneConfig(
+            target_dim=self.target_dim,
+            perplexity=self.perplexity,
+            max_iter=self.max_iter,
+            learning_rate=self.learning_rate,
+            kernel=self.kernel,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -235,17 +283,20 @@ def sne_conditional_q(coords) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
-def _kl(p_support: np.ndarray, log_p_support: np.ndarray, q: np.ndarray, support: np.ndarray) -> float:
-    """Sum of p log(p/q) over the flat indices where p > 0, given p and log p there."""
-    q_support = np.maximum(q.take(support), 1e-300)  # exp underflow, not a true zero
-    return float((p_support * (log_p_support - np.log(q_support))).sum())
+def _kl(p_support: np.ndarray, log_p_support: np.ndarray, q_support: np.ndarray) -> float:
+    """Sum of p log(p/q) over the support of p, given p, log p and q there; q_support is overwritten."""
+    np.maximum(q_support, 1e-300, out=q_support)  # exp underflow, not a true zero
+    np.log(q_support, out=q_support)
+    np.subtract(log_p_support, q_support, out=q_support)
+    q_support *= p_support
+    return float(q_support.sum())
 
 
 def sne_cost(p_cond: np.ndarray, q_cond: np.ndarray) -> float:
     """Summed per-point KL divergence between neighbor distributions."""
-    support = np.flatnonzero(p_cond > 0)
-    p_support = p_cond.take(support)
-    return _kl(p_support, np.log(p_support), q_cond, support)
+    support = p_cond > 0
+    p_support = p_cond[support]
+    return _kl(p_support, np.log(p_support), q_cond[support])
 
 
 def sne_gradient(p_cond: np.ndarray, q_cond: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -270,10 +321,10 @@ def _student_t_step(
 ) -> tuple[float, np.ndarray]:
     """sne_cost and the gradient of the Student-t embedding y against the joint P.
 
-    support holds the flat indices where P > 0, p_support and log_p_support P and log P there.
+    support is the mask of P > 0, p_support and log_p_support P and log P there.
     """
     q, w = _student_t_q(pairwise_sq_distances(y))
-    cost = _kl(p_support, log_p_support, q, support)
+    cost = _kl(p_support, log_p_support, q[support])
     m = np.subtract(p, q, out=q)  # (p - q) * w, over q
     m *= w
     return cost, 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
@@ -351,8 +402,8 @@ def sne_fit(data, config: SneConfig) -> Embedding:
         step, args = _gaussian_step, (_gaussian_terms(p), np.empty((n, n)))
     else:
         p = symmetrize_conditionals(p)
-        support = np.flatnonzero(p > 0)
-        p_support = p.take(support)
+        support = p > 0
+        p_support = p[support]
         step, args = _student_t_step, (p, support, p_support, np.log(p_support))
 
     rng = np.random.default_rng(config.seed)
@@ -377,33 +428,21 @@ def sne_fit(data, config: SneConfig) -> Embedding:
 
 # --- pipeline glue -------------------------------------------------------------
 
-def reduce_for_pipeline(
-    data,
-    train_mask,
-    method: str,
-    target_dim: int = 2,
-    sne_config: Optional[SneConfig] = None,
-) -> tuple[np.ndarray, dict]:
-    """Reduce a combined train+test matrix for the classification stage.
+def reduce_for_pipeline(data, train_mask, method: str, config: SneConfig = SneConfig()) -> tuple[np.ndarray, dict]:
+    """Reduce a combined train+test matrix to config.target_dim columns for the classification stage.
 
-    PCA fits on training rows only and projects everything (inductive); the
-    neighbor embedding has no out-of-sample map, so it fits on all rows
-    jointly (transductive) and the mask is left to downstream consumers.
+    PCA fits on training rows only and projects everything (inductive); it
+    reads no other field of config. The neighbor embedding fits on all rows
+    jointly (is_transductive) and the mask is left to downstream consumers.
     """
+    if method not in REDUCER_NAMES:
+        raise ValueError(f"method must be one of {REDUCER_NAMES}")
     x = np.asarray(data, dtype=np.float64)
     mask = np.asarray(train_mask, dtype=bool)
     if mask.shape != (x.shape[0],):
         raise DimensionMismatch("train_mask length must match the number of rows")
+    info = {"method": method, "transductive": is_transductive(method)}
     if method == "pca":
-        model = pca_fit(x[mask], target_dim)
-        return pca_transform(model, x), {"method": "pca", "transductive": False}
-    if method == "sne":
-        config = sne_config or SneConfig(target_dim=target_dim)
-        embedding = sne_fit(x, config)
-        return embedding.coords, {
-            "method": "sne",
-            "transductive": True,
-            "final_cost": embedding.final_cost,
-            "cost_trace": embedding.cost_trace,
-        }
-    raise ValueError("method must be 'pca' or 'sne'")
+        return pca_transform(pca_fit(x[mask], config.target_dim), x), info
+    embedding = sne_fit(x, config)
+    return embedding.coords, {**info, "final_cost": embedding.final_cost, "cost_trace": embedding.cost_trace}

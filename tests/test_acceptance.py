@@ -112,7 +112,7 @@ def test_criterion_4_lpcc_ar2_recovery():
     a1 = 2 * 0.9 * np.cos(0.3 * np.pi)
     a2 = -0.81
     signal = lfilter([1.0], [1.0, -a1, -a2], rng.normal(0.0, 0.1, 64000))
-    frames = frame_signal(AudioSignal(samples=signal, sample_rate=16000), 25.0, 10.0).frames
+    frames = frame_signal(AudioSignal(samples=signal, sample_rate=16000), 25.0, 10.0)
     coeffs, _, unstable = lpc_analysis(frames * hamming_window(400), order=2)
     recovered = coeffs.mean(axis=0)
     rel = np.abs(recovered - [a1, a2]) / np.abs([a1, a2])

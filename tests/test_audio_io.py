@@ -147,26 +147,26 @@ def test_audio_signal_invariants():
 
 def test_frame_count_formula():
     sig = AudioSignal(samples=np.arange(16000) / 16384.0, sample_rate=16000)
-    fm = frame_signal(sig, frame_ms=25.0, hop_ms=10.0)
+    frames = frame_signal(sig, frame_ms=25.0, hop_ms=10.0)
     # floor((16000 - 400) / 160) + 1
-    assert fm.frame_count == 98
-    assert fm.frame_length_samples == 400
-    assert fm.hop_samples == 160
+    assert frames.shape == (98, 400)
+    assert frame_layout(sig, 25.0, 10.0) == (400, 160, 98)
 
 
 def test_frame_rows_are_hops_apart():
     sig = AudioSignal(samples=np.arange(1600) / 1600.0, sample_rate=16000)
-    fm = frame_signal(sig, frame_ms=20.0, hop_ms=10.0)
-    for i in range(fm.frame_count):
-        start = i * fm.hop_samples
-        np.testing.assert_array_equal(fm.frames[i], sig.samples[start : start + 320])
+    frames = frame_signal(sig, frame_ms=20.0, hop_ms=10.0)
+    _, hop, _ = frame_layout(sig, 20.0, 10.0)
+    for i in range(frames.shape[0]):
+        start = i * hop
+        np.testing.assert_array_equal(frames[i], sig.samples[start : start + 320])
 
 
 def test_frame_exact_length_signal():
     sig = AudioSignal(samples=np.arange(320) / 320.0, sample_rate=16000)
-    fm = frame_signal(sig, frame_ms=20.0, hop_ms=10.0)
-    assert fm.frame_count == 1
-    np.testing.assert_array_equal(fm.frames[0], sig.samples)
+    frames = frame_signal(sig, frame_ms=20.0, hop_ms=10.0)
+    assert frames.shape[0] == 1
+    np.testing.assert_array_equal(frames[0], sig.samples)
 
 
 def test_frame_too_short_signal():
@@ -191,15 +191,15 @@ def test_frame_signal_accepts_every_timing_the_timing_check_accepts(sample_rate,
         assume(False)
     sig = AudioSignal(samples=np.random.default_rng(0).normal(size=sample_rate // 2), sample_rate=sample_rate)
     frame_length, hop, count = frame_layout(sig, frame_ms, hop_ms)
-    fm = frame_signal(sig, frame_ms, hop_ms)
-    assert fm.frames.shape == (count, frame_length) and fm.hop_samples == hop
+    frames = frame_signal(sig, frame_ms, hop_ms)
+    assert frames.shape == (count, frame_length)
+    np.testing.assert_array_equal(frames[-1], sig.samples[(count - 1) * hop : (count - 1) * hop + frame_length])
 
 
 def test_zero_overlap_reconstruction():
     rng = np.random.default_rng(3)
     sig = AudioSignal(samples=rng.uniform(-1, 1, 16000), sample_rate=16000)
-    fm = frame_signal(sig, frame_ms=20.0, hop_ms=20.0)
-    rebuilt = fm.frames.reshape(-1)
+    rebuilt = frame_signal(sig, frame_ms=20.0, hop_ms=20.0).reshape(-1)
     np.testing.assert_array_equal(rebuilt, sig.samples[: rebuilt.size])
 
 

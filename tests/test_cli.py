@@ -29,13 +29,12 @@ from voxbench.bench import (
     speaker_scaling_curve,
 )
 from voxbench.bench.corpus import CorpusManifest, ManifestEntry, save_manifest
-from voxbench.bench.harness import REDUCER_NAMES
 from voxbench.bench.reports import format_float
 from voxbench.cli import MODEL_ALIASES, _extractor_config_from_args, _grid_from_json, build_parser, main
 from voxbench.errors import PipelineError
 from voxbench.features import ExtractorConfig, default_config
 from voxbench.preprocessing import fit_silence_model, remove_silence
-from voxbench.reduction import SneConfig, sne_fit
+from voxbench.reduction import REDUCER_NAMES, SneConfig, sne_fit
 
 
 @pytest.fixture(scope="module")
@@ -551,7 +550,7 @@ def test_bench_rejects_repeated_extractor_kind(cli_corpus, tmp_path, capsys):
         ({"classifiers": [{"name": "feed forward", "batch_size": 0}]},
          "classifier 'feed forward' parameter batch_size must be >= 1, got 0"),
         ({"reducers": [{"method": "sne", "max_iter": 0}]}, "reducer 'sne': max_iter must be >= 1, got 0"),
-        ({"scaling_curve": {"speaker_count": [2]}}, "grid 'scaling_curve' takes no key speaker_count"),
+        ({"scaling_curve": {"speaker_count": [2]}}, "grid 'scaling_curve' takes no parameter speaker_count"),
         ({"reducers": [{"method": "sne", "perplexity": 0.5}]}, "reducer 'sne': perplexity must be >= 1, got 0.5"),
         ({"reducers": [{"method": "sne", "perplexity": -3}]}, "reducer 'sne': perplexity must be >= 1, got -3"),
         ({"reducers": [{"method": "sne", "learning_rate": 0.0}]},

@@ -128,7 +128,7 @@ def test_mfcc_shape_contract():
     config = default_config("mfcc")
     sig = tone(440)
     emphasized = pre_emphasize(sig, config.pre_emphasis_a)
-    expected_frames = frame_signal(emphasized, config.frame_ms, config.hop_ms).frame_count
+    expected_frames = frame_signal(emphasized, config.frame_ms, config.hop_ms).shape[0]
     feats = extract(sig, config)
     assert feats.values.shape == (expected_frames, config.num_ceps)
     assert np.isfinite(feats.values).all()
@@ -298,7 +298,7 @@ def test_frame_cap_equals_selecting_rows_of_full_extraction(voiced, kind):
 def frame_signal_route(signal, config, cap):
     """The whole-signal route: pre-emphasize (not plp) and frame the whole signal, select rows, taper, run the back-end."""
     source = signal if config.kind == "plp" else pre_emphasize(signal, config.pre_emphasis_a)
-    frames = frame_signal(source, config.frame_ms, config.hop_ms).frames
+    frames = frame_signal(source, config.frame_ms, config.hop_ms)
     if cap is not None and frames.shape[0] > cap:
         frames = frames[np.round(np.linspace(0, frames.shape[0] - 1, cap)).astype(int)]
     back_end = {"mfcc": _mfcc, "lpcc": _lpcc, "plp": _plp}[config.kind]
@@ -362,7 +362,7 @@ def test_frame_cap_rejects_non_positive_or_fractional(voiced, cap):
 def test_lpcc_ignores_fft_size(voiced):
     # LPC analysis picks its own FFT length, so a frame longer than the default fft_size is no error
     long_frames = default_config("lpcc", frame_ms=40.0)  # 640 samples at 16 kHz, above the default 512
-    assert extract(voiced, long_frames).values.shape == (frame_signal(voiced, 40.0, 10.0).frames.shape[0], 13)
+    assert extract(voiced, long_frames).values.shape == (frame_signal(voiced, 40.0, 10.0).shape[0], 13)
 
 
 @pytest.mark.parametrize("kind", ["mfcc", "plp"])

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -13,12 +14,14 @@ from voxbench.reduction import (
     MOMENTUM,
     MOMENTUM_SWITCH_ITER,
     PERPLEXITY_TOL,
+    REDUCER_NAMES,
     SneConfig,
     _gaussian_step,
     _gaussian_terms,
     _student_t_q,
     calibrated_conditionals,
     default_perplexity,
+    is_transductive,
     pairwise_sq_distances,
     pca_fit,
     pca_inverse_transform,
@@ -251,6 +254,19 @@ def test_dense_fit_holds_at_most_two_n_by_n_arrays():
     assert peak <= 2.2 * n * n * 8
 
 
+def test_student_t_fit_holds_fewer_than_seven_n_by_n_arrays():
+    n = 294  # rows per extractor of the sne-sweep workload
+    data = np.random.default_rng(27).normal(0, 1, (n, 13))
+    tracemalloc.start()
+    try:
+        sne_fit(data, SneConfig(max_iter=3, kernel="student-t"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # P, P and log P on its support, the kernel, q and the gathered q: six arrays and the bool support mask
+    assert peak < 7 * n * n * 8
+
+
 def test_calibration_raises_no_runtime_warning():
     data = mixed_scale_rows(60, seed=1)  # wide searches underflow some probabilities to zero
     with warnings.catch_warnings():
@@ -434,8 +450,8 @@ def test_pipeline_pca_ignores_test_rows_when_fitting():
     mask = np.concatenate([np.ones(30, bool), np.zeros(5, bool)])
     mild = np.vstack([train, rng.normal(0, 1, (5, 4))])
     wild = np.vstack([train, rng.normal(0, 1, (5, 4)) * 100])
-    out_mild, info = reduce_for_pipeline(mild, mask, "pca", target_dim=2)
-    out_wild, _ = reduce_for_pipeline(wild, mask, "pca", target_dim=2)
+    out_mild, info = reduce_for_pipeline(mild, mask, "pca", config=SneConfig(target_dim=2))
+    out_wild, _ = reduce_for_pipeline(wild, mask, "pca", config=SneConfig(target_dim=2))
     np.testing.assert_allclose(out_mild[:30], out_wild[:30], atol=1e-12)
     assert info == {"method": "pca", "transductive": False}
 
@@ -444,7 +460,7 @@ def test_pipeline_sne_is_transductive():
     rng = np.random.default_rng(18)
     data = rng.normal(0, 1, (24, 4))
     mask = np.arange(24) < 16
-    out, info = reduce_for_pipeline(data, mask, "sne", sne_config=SneConfig(perplexity=6.0, seed=0))
+    out, info = reduce_for_pipeline(data, mask, "sne", config=SneConfig(perplexity=6.0, seed=0))
     assert out.shape == (24, 2)
     assert info["transductive"] is True
 
@@ -453,9 +469,23 @@ def test_pipeline_all_train_mask_matches_plain_fit():
     rng = np.random.default_rng(19)
     data = rng.normal(0, 1, (20, 4))
     mask = np.ones(20, bool)
-    out, _ = reduce_for_pipeline(data, mask, "pca", target_dim=2)
+    out, _ = reduce_for_pipeline(data, mask, "pca", config=SneConfig(target_dim=2))
     model = pca_fit(data, 2)
     np.testing.assert_array_equal(out, pca_transform(model, data))
     config = SneConfig(perplexity=5.0, seed=7)
-    out_sne, _ = reduce_for_pipeline(data, mask, "sne", sne_config=config)
+    out_sne, _ = reduce_for_pipeline(data, mask, "sne", config=config)
     np.testing.assert_array_equal(out_sne, sne_fit(data, config).coords)
+
+
+@pytest.mark.parametrize("method", REDUCER_NAMES)
+def test_pipeline_keeps_config_target_dim_for_every_method(method):
+    data = np.random.default_rng(26).normal(0, 1, (24, 5))
+    config = SneConfig(target_dim=3, perplexity=6.0, max_iter=20, seed=1)
+    out, info = reduce_for_pipeline(data, np.arange(24) < 16, method, config=config)
+    assert out.shape == (24, 3)
+    assert info["transductive"] is is_transductive(method)
+
+
+def test_pipeline_names_the_reducers_for_an_unknown_method():
+    with pytest.raises(ValueError, match=re.escape(f"method must be one of {REDUCER_NAMES}")):
+        reduce_for_pipeline(np.zeros((4, 2)), np.ones(4, bool), "umap")
