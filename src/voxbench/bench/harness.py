@@ -101,7 +101,8 @@ class ScalingCurve:
 class SweepGrid:
     """Extractors x reducers x classifiers; each axis is keyed by kind, method and name.
 
-    An optional scaling curve runs after the grid, on the same frame tables.
+    An optional scaling curve runs as more cells of the same stage graph, each
+    speaker count a row view of the same frame tables.
     """
 
     extractors: tuple[ExtractorConfig, ...]
@@ -236,6 +237,11 @@ def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: Ha
 
 # --- stage graph ------------------------------------------------------------------
 
+# (extractor, reducer, classifier, speakers): speakers is None for the whole
+# frame table, or a count for its first_speakers(count) rows
+Cell = tuple[ExtractorConfig, ReducerSpec, ClassifierSpec, Optional[int]]
+
+
 def _failure(exc: PipelineError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -309,46 +315,51 @@ def _frame_tables(
 
 def _grid_entries(
     manifest: CorpusManifest,
-    grid: SweepGrid,
+    cells: list[Cell],
     tables: dict[str, FrameTable],
     failures: dict[str, str],
     master_seed: int,
     settings: HarnessSettings,
     jobs: int = 1,
 ) -> list[dict]:
-    """One report entry per grid cell, sorted by (reducer, extractor, classifier).
+    """One report entry per (extractor, reducer, classifier, speakers) cell, in cell order.
 
     Starts from the frame tables (or extraction failures) of _frame_tables.
-    Stage outputs are shared: one train mask per extractor, one embedding per
-    extractor/reducer pair, and the cells that read it. With jobs > 1 the
-    embeddings run on a pool of `jobs` threads; the cells always run in the
-    calling thread, after the last embedding, classifier by classifier: one
-    train_by_name call over every live pair, then one predict per cell.
-    Seeds derive from (master_seed, stage tag), so serial and parallel runs,
-    and a cell run on its own, produce identical entries.
+    A cell's speakers picks its row view of the extractor's table: None for
+    the whole table, a count for table.first_speakers(count). Stage outputs
+    are shared: one train mask per extractor kind and view, one embedding per
+    extractor, reducer and view, and the cells that read it. With jobs > 1
+    every embedding runs on one pool of `jobs` threads; the cells always run
+    in the calling thread, after the last embedding, classifier by
+    classifier: one train_by_name call over every live cell of that name,
+    then one predict per cell. Seeds derive from (master_seed, stage tag) and
+    train masks are per speaker, so serial and parallel runs, a cell run on
+    its own, and a count's cell run as the one-cell sweep of that many
+    speakers produce identical entries.
     """
     rotation = derive_seed(master_seed, "split")
-    masks = {
-        extractor.kind: holdout_train_mask(manifest, tables[extractor.kind], rotation)
-        for extractor in grid.extractors
-        if extractor.kind in tables
-    }
+    views: dict[tuple, tuple[FrameTable, np.ndarray]] = {}
+    stages: dict[tuple, tuple[ExtractorConfig, ReducerSpec, Optional[int]]] = {}
+    for extractor, reducer, _, speakers in cells:
+        if extractor.kind in tables and (extractor.kind, speakers) not in views:
+            table = tables[extractor.kind]
+            table = table if speakers is None else table.first_speakers(speakers)
+            views[extractor.kind, speakers] = table, holdout_train_mask(manifest, table, rotation)
+        stages.setdefault((extractor.kind, reducer.method, speakers), (extractor, reducer, speakers))
 
-    def embed(extractor: ExtractorConfig, reducer: ReducerSpec) -> tuple[Optional[np.ndarray], Optional[str]]:
-        """The pair's reduced rows, or the reason its extraction or reduction failed."""
+    def embed(
+        extractor: ExtractorConfig, reducer: ReducerSpec, speakers: Optional[int]
+    ) -> tuple[Optional[LabeledDataset], Optional[str]]:
+        """The view's reduced rows as a dataset, or the reason its extraction or reduction failed."""
         if extractor.kind in failures:
             return None, failures[extractor.kind]
+        table, mask = views[extractor.kind, speakers]
         seed = derive_seed(master_seed, f"embed:{extractor.kind}:{reducer.method}")
         try:
-            reduced, _ = reduce_for_pipeline(
-                tables[extractor.kind].features,
-                masks[extractor.kind],
-                reducer.method,
-                config=reducer.sne_config(seed),
-            )
+            reduced, _ = reduce_for_pipeline(table.features, mask, reducer.method, config=reducer.sne_config(seed))
         except PipelineError as exc:
             return None, _failure(exc)
-        return reduced, None
+        return LabeledDataset(points=reduced, labels=table.speakers, train_mask=mask), None
 
     def cell_entry(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec) -> dict:
         combo_tag = f"{extractor.kind}:{reducer.method}:{classifier.name}"
@@ -361,44 +372,42 @@ def _grid_entries(
             "split_rotation": rotation % 10**9,
         }
 
-    pairs = [(extractor, reducer) for reducer in grid.reducers for extractor in grid.extractors]
     if jobs == 1:
-        embedded = [embed(*pair) for pair in pairs]
+        embedded = [embed(*stage) for stage in stages.values()]
     else:
         # An SNE fit spends its time in n x n NumPy kernels that release the
         # GIL, so fits overlap on threads. A cell is small-array NumPy and
         # Python that holds it: beside a cell a fit ran 2-3x slower, and cells
         # on two threads took longer than one after another.
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            embedded = list(pool.map(lambda pair: embed(*pair), pairs))
-    datasets = {
-        i: LabeledDataset(points=reduced, labels=tables[extractor.kind].speakers, train_mask=masks[extractor.kind])
-        for i, ((extractor, _), (reduced, reason)) in enumerate(zip(pairs, embedded))
-        if reason is None
-    }
+            embedded = list(pool.map(lambda stage: embed(*stage), stages.values()))
+    embeddings = dict(zip(stages, embedded))
+    datasets = [embeddings[e.kind, r.method, s][0] for e, r, _, s in cells]
+    reasons = [embeddings[e.kind, r.method, s][1] for e, r, _, s in cells]
+    entries = [cell_entry(e, r, c) for e, r, c, _ in cells]
 
-    entries = []
-    for classifier in grid.classifiers:
-        cells = [cell_entry(extractor, reducer, classifier) for extractor, reducer in pairs]
+    by_name: dict[str, tuple[ClassifierSpec, list[int]]] = {}
+    for i, (_, _, classifier, _) in enumerate(cells):
+        by_name.setdefault(classifier.name, (classifier, []))[1].append(i)
+    for classifier, members in by_name.values():
+        live = [i for i in members if reasons[i] is None]
         # one call per classifier, so that the models which can share a training step do
         trained = train_by_name(
-            classifier.name, list(datasets.values()), [cells[i]["seed"] for i in datasets], **classifier.params
+            classifier.name, [datasets[i] for i in live], [entries[i]["seed"] for i in live], **classifier.params
         )
-        models = dict(zip(datasets, trained))
-        for i, ((extractor, _), (_, reason), entry) in enumerate(zip(pairs, embedded, cells)):
-            model = models.get(i)
+        for i, model in zip(live, trained):
             if isinstance(model, PipelineError):
-                reason = _failure(model)
-            elif model is not None:
-                try:
-                    entry.update(_evaluate_split(model, datasets[i], tables[extractor.kind], settings))
-                except PipelineError as exc:
-                    reason = _failure(exc)
-            entry["status"] = "ok" if reason is None else "failed"
-            if reason is not None:
-                entry["failure_reason"] = reason
-            entries.append(entry)
-    entries.sort(key=lambda e: (e["reducer"], e["extractor"], e["classifier"]))
+                reasons[i] = _failure(model)
+                continue
+            extractor, _, _, speakers = cells[i]
+            try:
+                entries[i].update(_evaluate_split(model, datasets[i], views[extractor.kind, speakers][0], settings))
+            except PipelineError as exc:
+                reasons[i] = _failure(exc)
+    for entry, reason in zip(entries, reasons):
+        entry["status"] = "ok" if reason is None else "failed"
+        if reason is not None:
+            entry["failure_reason"] = reason
     return entries
 
 
@@ -426,21 +435,29 @@ def run_sweep(
     jobs is the number of threads that run the embeddings; it must be an
     integer >= 1. Seeds derive from (master_seed, stage tag), so
     serial and parallel sweeps produce identical reports. A grid's scaling
-    curve runs after the cells, on the same frame tables, and its result is
-    report["scaling_curve"].
+    curve adds one cell per speaker count to the grid's cells, and its result
+    is report["scaling_curve"]. The full roster is the whole-table view, so
+    it reuses the grid's embedding when the grid holds the extractor/reducer
+    pair, and the grid's cell when it holds the combination.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     grid = grid or default_grid()
+    cells = [(e, r, c, None) for c in grid.classifiers for r in grid.reducers for e in grid.extractors]
+    grid_cells = len(cells)
     extractors = grid.extractors
-    if grid.scaling_curve is not None:
-        if grid.scaling_curve.speaker_counts[-1] > len(manifest.speaker_ids):
+    curve = grid.scaling_curve
+    if curve is not None:
+        roster = len(manifest.speaker_ids)
+        if curve.speaker_counts[-1] > roster:
             raise ValueError("speaker_counts exceed the manifest's speaker count")
-        curve_grid = _curve_grid(grid)
-        if curve_grid.extractors[0] not in extractors:
-            extractors += curve_grid.extractors
+        extractor, reducer, classifier = _curve_specs(grid)
+        if extractor not in extractors:
+            extractors += (extractor,)
+        curve_cells = [(extractor, reducer, classifier, None if n == roster else n) for n in curve.speaker_counts]
+        cells += [cell for cell in curve_cells if cell not in cells]
     tables, failures = _frame_tables(manifest, extractors, settings)
-    entries = _grid_entries(manifest, grid, tables, failures, master_seed, settings, jobs)
+    entries = _grid_entries(manifest, cells, tables, failures, master_seed, settings, jobs)
     report = {
         "master_seed": master_seed,
         "manifest": _manifest_metadata(manifest),
@@ -455,7 +472,7 @@ def run_sweep(
             "reducers": [dataclasses.asdict(r) for r in grid.reducers],
             "classifiers": [dataclasses.asdict(c) for c in grid.classifiers],
         },
-        "combinations": entries,
+        "combinations": sorted(entries[:grid_cells], key=lambda e: (e["reducer"], e["extractor"], e["classifier"])),
         "reference_results": {
             "note": REFERENCE_NOTE,
             "accuracy": REFERENCE_ACCURACY,
@@ -463,10 +480,8 @@ def run_sweep(
             "scaling": REFERENCE_SCALING,
         },
     }
-    if grid.scaling_curve is not None:
-        report["scaling_curve"] = _scaling_curve(
-            manifest, curve_grid, grid.scaling_curve.speaker_counts, tables, failures, entries, master_seed, settings
-        )
+    if curve is not None:
+        report["scaling_curve"] = _scaling_curve(curve, [entries[cells.index(cell)] for cell in curve_cells])
     if out_dir is not None:
         write_sweep_outputs(report, out_dir)
     return report
@@ -506,66 +521,49 @@ def write_sweep_outputs(report: dict, out_dir) -> None:
 
 # --- speaker scaling curve ---------------------------------------------------------
 
-def _curve_grid(grid: SweepGrid) -> SweepGrid:
-    """The scaling curve's one-cell grid: the sweep grid's spec on each axis, or the default."""
+def _curve_specs(grid: SweepGrid) -> tuple[ExtractorConfig, ReducerSpec, ClassifierSpec]:
+    """The scaling curve's extractor, reducer and classifier: the sweep grid's spec on each axis, or the default."""
     curve = grid.scaling_curve
 
     def spec(specs, key: str, value: str, default):
         return next((s for s in specs if getattr(s, key) == value), None) or default(value)
 
-    return SweepGrid(
-        (spec(grid.extractors, "kind", curve.extractor, default_config),),
-        (spec(grid.reducers, "method", curve.reducer, ReducerSpec),),
-        (spec(grid.classifiers, "name", curve.classifier, ClassifierSpec),),
+    return (
+        spec(grid.extractors, "kind", curve.extractor, default_config),
+        spec(grid.reducers, "method", curve.reducer, ReducerSpec),
+        spec(grid.classifiers, "name", curve.classifier, ClassifierSpec),
     )
 
 
-def _scaling_curve(
-    manifest: CorpusManifest,
-    grid: SweepGrid,
-    speaker_counts: tuple[int, ...],
-    tables: dict[str, FrameTable],
-    failures: dict[str, str],
-    sweep_entries: list[dict],
-    master_seed: int,
-    settings: HarnessSettings,
-) -> dict:
-    """The one-cell grid's accuracy at each speaker count, or the first count's failure.
+def _scaling_curve(curve: ScalingCurve, entries: list[dict]) -> dict:
+    """The curve's accuracy at each speaker count, or the first count's failure.
 
-    A count takes the rows of its first speakers from the sweep's frame table.
-    Train masks are per speaker and seeds per stage tag, so a row equals the
-    one-cell sweep of manifest.subset_speakers(count). The full roster takes
-    the sweep's own cell when the sweep grid holds the combination. Rows are
+    entries holds the curve's cell entry per count, in count order. A count's
+    cell reads the rows of its first speakers from the sweep's frame table,
+    and train masks are per speaker and seeds per stage tag, so a row equals
+    the one-cell sweep of manifest.subset_speakers(count). Rows are
     (speaker_count, accuracy_pct, delta_per_speaker); the delta is the
     discrete rate of change from the previous row.
     """
-    extractor, reducer, classifier = grid.extractors[0], grid.reducers[0], grid.classifiers[0]
-    key = (extractor.kind, reducer.method, classifier.name)
-    curve = {
-        "extractor": extractor.kind,
-        "reducer": reducer.method,
-        "classifier": classifier.name,
-        "speaker_counts": list(speaker_counts),
+    result = {
+        "extractor": curve.extractor,
+        "reducer": curve.reducer,
+        "classifier": curve.classifier,
+        "speaker_counts": list(curve.speaker_counts),
     }
-    swept = {(e["extractor"], e["reducer"], e["classifier"]): e for e in sweep_entries}
     rows: list[tuple[int, float, Optional[float]]] = []
-    for count in speaker_counts:
-        entry = swept.get(key) if count == len(manifest.speaker_ids) else None
-        if entry is None:
-            table = tables.get(extractor.kind)
-            subset = {} if table is None else {extractor.kind: table.first_speakers(count)}
-            entry = _grid_entries(manifest, grid, subset, failures, master_seed, settings)[0]
+    for count, entry in zip(curve.speaker_counts, entries):
         if entry["status"] != "ok":
-            curve["failure_reason"] = f"{count}-speaker run failed: {entry['failure_reason']}"
-            return curve
+            result["failure_reason"] = f"{count}-speaker run failed: {entry['failure_reason']}"
+            return result
         accuracy = entry["frame_accuracy_pct"]
         delta = None
         if rows:
             prev_count, prev_acc, _ = rows[-1]
             delta = (accuracy - prev_acc) / (count - prev_count)
         rows.append((count, accuracy, delta))
-    curve["rows"] = rows
-    return curve
+    result["rows"] = rows
+    return result
 
 
 def speaker_scaling_curve(

@@ -7,6 +7,7 @@ from it (in standardized distance) are kept as voiced.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,6 +38,9 @@ class SilenceModel:
     def __post_init__(self):
         if self.sigma <= 0:
             raise DegenerateSilence("sigma must be positive")
+        for name in ("u_threshold", "frame_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.u_threshold <= 0:
             raise ValueError("u_threshold must be positive")
 
@@ -85,14 +89,18 @@ def remove_silence(
     segments shorter than min_segment_ms are discarded. With endpoints_only,
     every block between the first and last voiced one is kept.
     """
-    if not min_segment_ms >= 0:
+    if not math.isfinite(min_segment_ms):
+        raise ValueError(f"min_segment_ms must be finite, got {min_segment_ms!r}")
+    if min_segment_ms < 0:
         raise ValueError(f"min_segment_ms must be >= 0, got {min_segment_ms!r}")
-    block = int(round(model.frame_ms * signal.sample_rate / 1000.0))
+    # sample counts round as floats: a finite length past the float range in samples is inf, not an OverflowError
+    block = np.rint(model.frame_ms * signal.sample_rate / 1000.0)
     if block <= 0:
         raise ValueError("frame_ms too small for this sample rate")
-    n_blocks = len(signal) // block
-    if n_blocks == 0:
+    if block > len(signal):
         raise NoVoicedContent("signal shorter than one analysis block")
+    block = int(block)
+    n_blocks = len(signal) // block
 
     # |u| = |standardize(x)|, computed in one buffer
     u = signal.samples[: n_blocks * block] - model.mu
@@ -114,7 +122,7 @@ def remove_silence(
         last = n_blocks - 1 - int(np.argmax(voiced[::-1]))
         voiced[first : last + 1] = True
 
-    min_segment = int(round(min_segment_ms * signal.sample_rate / 1000.0))
+    min_segment = np.rint(min_segment_ms * signal.sample_rate / 1000.0)
     # run edges: a voiced run starts at each even edge and ends at the next
     edges = (np.flatnonzero(np.diff(np.concatenate(([False], voiced, [False])))) * block).tolist()
     segments = [(s, e) for s, e in zip(edges[::2], edges[1::2]) if e - s >= min_segment]

@@ -402,7 +402,8 @@ def pair_grid(sne=ReducerSpec("sne", max_iter=30)):
 
 
 def grid_entries(manifest, grid, tables, failures, jobs):
-    return harness._grid_entries(manifest, grid, tables, failures, 7, FAST, jobs=jobs)
+    cells = [(e, r, c, None) for c in grid.classifiers for r in grid.reducers for e in grid.extractors]
+    return harness._grid_entries(manifest, cells, tables, failures, 7, FAST, jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [2, 5])  # 5 threads > 4 embeddings
@@ -438,8 +439,12 @@ def test_failed_sne_pair_fails_only_its_cells_on_the_pool(small_corpus, lpcc_row
     np.testing.assert_equal(entries, grid_entries(small_corpus, grid, tables, failures, jobs=1))
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_reductions_run_in_the_calling_thread_only_when_serial(small_corpus, monkeypatch, jobs):
+# its 3-speaker count is the whole-table view, so of its two counts only the 2-speaker one adds a fit
+CURVE = harness.ScalingCurve("mfcc", "sne", "weighted knn", (2, 3))
+
+
+@pytest.mark.parametrize("jobs, curve", [(1, None), (2, None), (2, CURVE)], ids=["1", "2", "2-curve"])
+def test_reductions_run_in_the_calling_thread_only_when_serial(small_corpus, tmp_path, monkeypatch, jobs, curve):
     threads = []
     reduce = harness.reduce_for_pipeline
 
@@ -448,10 +453,15 @@ def test_reductions_run_in_the_calling_thread_only_when_serial(small_corpus, mon
         return reduce(*args, **kwargs)
 
     monkeypatch.setattr(harness, "reduce_for_pipeline", recording)
-    run_sweep(small_corpus, grid=pair_grid(), settings=FAST, jobs=jobs)
-    assert len(threads) == 4
+    grid = dataclasses.replace(pair_grid(), scaling_curve=curve)
+    run_sweep(small_corpus, grid=grid, settings=FAST, out_dir=tmp_path / "run", jobs=jobs)
+    assert len(threads) == (4 if curve is None else 5)
     on_main = [thread is threading.main_thread() for thread in threads]
     assert all(on_main) if jobs == 1 else not any(on_main)
+    if jobs > 1:
+        run_sweep(small_corpus, grid=grid, settings=FAST, out_dir=tmp_path / "serial")
+        files = {path.name: path.read_bytes() for path in (tmp_path / "run").iterdir()}
+        assert files == {path.name: path.read_bytes() for path in (tmp_path / "serial").iterdir()}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -120,12 +120,26 @@ def test_vad_roundtrip(cli_corpus, tmp_path):
     assert first["start_seconds"] >= 0.2  # leading silence removed
 
 
+@pytest.mark.filterwarnings("ignore:more than 60% of blocks are voiced")
 def test_vad_rejects_a_negative_min_segment(cli_corpus, tmp_path, capsys):
+    # and a non-finite length or threshold, by the field name; a length longer
+    # than the float range in samples finds no voiced content
     wav = next(iter(sorted(cli_corpus.glob("*.wav"))))
     out = tmp_path / "trimmed.wav"
-    assert main(["vad", "--in", str(wav), "--out", str(out), "--min-segment-ms", "-5"]) == 2
-    assert capsys.readouterr().err == "error: min_segment_ms must be >= 0, got -5.0\n"
-    assert not out.exists()
+    for flag, value, message in [
+        ("--min-segment-ms", "-5", "min_segment_ms must be >= 0, got -5.0"),
+        ("--min-segment-ms", "inf", "min_segment_ms must be finite, got inf"),
+        ("--min-segment-ms", "nan", "min_segment_ms must be finite, got nan"),
+        ("--block-ms", "inf", "frame_ms must be finite, got inf"),
+        ("--block-ms", "nan", "frame_ms must be finite, got nan"),
+        ("--threshold", "inf", "u_threshold must be finite, got inf"),
+        ("--threshold", "nan", "u_threshold must be finite, got nan"),
+        ("--block-ms", "1e306", "NoVoicedContent: signal shorter than one analysis block"),
+        ("--min-segment-ms", "1e306", "NoVoicedContent: all voiced segments were shorter than the minimum length"),
+    ]:
+        assert main(["vad", "--in", str(wav), "--out", str(out), flag, value]) == 2, (flag, value)
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_extract_single_wav(cli_corpus, tmp_path):
@@ -682,6 +696,17 @@ def test_bench_curve_runs_on_the_sweeps_stage_outputs(small_corpus, tmp_path, mo
     assert sorted(calls["load_wav"]) == sorted(small_corpus.resolve(e) for e in small_corpus.entries)
     assert set(calls["extract"]) == {20}  # the grid's mfcc, not the default 25 ms one
     assert calls["reduce_for_pipeline"] == [60, 40]  # 3 speakers x 2 recordings x 10 frames, then 2 speakers
+    assert [row[0] for row in read_csv(out / "scaling_curve.csv")[1:]] == ["2", "3"]
+
+    # the grid lacks the curve's classifier, yet the full roster reads the sweep's mfcc/pca embedding
+    for stage_calls in calls.values():
+        stage_calls.clear()
+    grid["extractors"] = [{"kind": "mfcc"}]
+    grid["classifiers"] = [{"name": "complex tree"}]
+    (tmp_path / "pair").mkdir()
+    code, out = run_bench(small_corpus.root, grid, tmp_path / "pair")
+    assert code == 0
+    assert calls["reduce_for_pipeline"] == [60, 40]
     assert [row[0] for row in read_csv(out / "scaling_curve.csv")[1:]] == ["2", "3"]
 
 
