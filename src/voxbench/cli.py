@@ -187,7 +187,8 @@ def cmd_reduce(args) -> int:
     if args.trace and args.method != "sne":
         return _fail("--trace writes the SNE cost per iteration; --method pca has no such trace")
     spec = ReducerSpec(
-        args.method, target_dim=args.dim, perplexity=args.perplexity, max_iter=args.max_iter, kernel=args.kernel
+        args.method, target_dim=args.dim, perplexity=args.perplexity, max_iter=args.max_iter,
+        learning_rate=args.learning_rate, kernel=args.kernel,
     )
     sources, speakers, frames, matrix = read_feature_csv(args.in_path)
     mask = np.ones(len(matrix), bool)
@@ -410,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=SneConfig.target_dim)
     p.add_argument("--perplexity", type=float)
     p.add_argument("--max-iter", type=int, default=SneConfig.max_iter)
+    p.add_argument("--learning-rate", type=float, help="default 0.2 (gaussian), n/12 (student-t)")
     p.add_argument("--kernel", choices=SNE_KERNELS, default=SneConfig.kernel)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="out_path", required=True)

@@ -25,11 +25,11 @@ from .errors import (
 
 PERPLEXITY_TOL = 1e-4
 MAX_BANDWIDTH_STEPS = 100
-# rows per calibration and P + P^T block: 64-256 measured alike; 512 held a second n x n at n = 1260
+# rows per calibration, P + P^T and Student-t block: 64-256 measured alike; 512 held a second n x n at n = 1260
 SNE_BLOCK_ROWS = 128
 
-# 0.2 holds across dataset sizes; larger rates diverge once the late momentum
-# phase kicks in (verified empirically from n=10 up to n~1300)
+# the Gaussian kernel's rate: 0.2 holds across dataset sizes; larger rates diverge
+# once the late momentum phase kicks in (verified empirically from n=10 up to n~1300)
 DEFAULT_LEARNING_RATE = 0.2
 DEFAULT_MAX_ITER = 500
 INIT_STD = 1e-2
@@ -109,18 +109,20 @@ class SneConfig:
     target_dim: int = 2
     perplexity: Optional[float] = None  # default: min(30, (n-1)//3), at least 1, at fit time
     max_iter: int = DEFAULT_MAX_ITER
-    learning_rate: float = DEFAULT_LEARNING_RATE
+    learning_rate: Optional[float] = None  # default: DEFAULT_LEARNING_RATE, or for student-t n/12 at fit time
     seed: int = 0
     kernel: str = "gaussian"
 
     def __post_init__(self):
+        if self.learning_rate is None and self.kernel == "gaussian":
+            object.__setattr__(self, "learning_rate", DEFAULT_LEARNING_RATE)
         if self.target_dim < 1:
             raise ValueError("target_dim must be positive")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.perplexity is not None and not self.perplexity >= 1:  # 2^H >= 1 for any row
             raise ValueError(f"perplexity must be >= 1, got {self.perplexity}")
-        if not self.learning_rate > 0:
+        if self.learning_rate is not None and not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.learning_rate == math.inf:
             raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
@@ -143,13 +145,15 @@ class ReducerSpec:
     """Reduction method plus its knobs, defaulting to SneConfig's; name defaults to the method.
 
     A knob that the method never reads (REDUCER_UNREAD_KNOBS) must keep its default.
+    An unset learning_rate becomes SneConfig's: DEFAULT_LEARNING_RATE unless the
+    kernel is student-t, whose rate is set from n at fit time.
     """
 
     method: str
     target_dim: int = SneConfig.target_dim
     perplexity: Optional[float] = SneConfig.perplexity
     max_iter: int = SneConfig.max_iter
-    learning_rate: float = SneConfig.learning_rate
+    learning_rate: Optional[float] = SneConfig.learning_rate
     kernel: str = SneConfig.kernel
 
     def __post_init__(self):
@@ -157,10 +161,13 @@ class ReducerSpec:
             raise ValueError(f"method must be one of {REDUCER_NAMES}")
         check_fields_like_defaults(self, prefix=f"reducer {self.method!r} ")
         try:
-            self.sne_config(seed=0)  # the range checks of SneConfig
+            config = self.sne_config(seed=0)  # the range checks of SneConfig
         except ValueError as exc:
             raise ValueError(f"reducer {self.method!r}: {exc}") from None
+        if config.learning_rate == SneConfig(kernel=self.kernel).learning_rate:  # a rate equal to the kernel's default counts as unset
+            object.__setattr__(self, "learning_rate", None)
         check_unread_at_defaults(self, REDUCER_UNREAD_KNOBS[self.method], f"reducer {self.method!r}")
+        object.__setattr__(self, "learning_rate", config.learning_rate)  # the report's grid block prints it
 
     def sne_config(self, seed: int) -> SneConfig:
         """The config that reduce_for_pipeline takes for this spec."""
@@ -176,11 +183,12 @@ class ReducerSpec:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Low-dimensional coordinates plus the optimizer's cost trace."""
+    """Low-dimensional coordinates plus the optimizer's cost trace and learning rate."""
 
     coords: np.ndarray
     final_cost: float
     cost_trace: np.ndarray = field(repr=False)
+    learning_rate: float
 
 
 def pairwise_sq_distances(x) -> np.ndarray:
@@ -246,15 +254,18 @@ def calibrated_conditionals(data, perplexity: float) -> np.ndarray:
     return cond
 
 
-def symmetrize_conditionals(cond: np.ndarray) -> np.ndarray:
-    """Joint probabilities p_ij = (p_{i|j} + p_{j|i}) / 2n; sums to one."""
-    n = cond.shape[0]
-    return (cond + cond.T) / (2.0 * n)
-
-
 def default_perplexity(n: int) -> float:
     """min(30, (n-1)//3), floored at 1: no row distribution has a perplexity below 1."""
     return float(max(1, min(30, (n - 1) // 3)))
+
+
+def default_learning_rate(n: int) -> float:
+    """The Student-t kernel's rate for n rows: n / 12 (Belkina et al. 2019).
+
+    Its joint P spreads one unit of probability over n^2 pairs, so each point's
+    gradient is of order 1/n, and a fixed rate moves large embeddings too little.
+    """
+    return n / 12.0
 
 
 def _checked_rows(data, perplexity: Optional[float]) -> tuple[np.ndarray, float]:
@@ -271,8 +282,9 @@ def _checked_rows(data, perplexity: Optional[float]) -> tuple[np.ndarray, float]
 
 
 def sne_p_matrix(data, perplexity: Optional[float] = None) -> np.ndarray:
-    """Symmetrized joint neighbor probabilities of the input rows."""
-    return symmetrize_conditionals(calibrated_conditionals(*_checked_rows(data, perplexity)))
+    """Joint neighbor probabilities of the input rows, p_ij = (p_{i|j} + p_{j|i}) / 2n; sums to one."""
+    cond = calibrated_conditionals(*_checked_rows(data, perplexity))
+    return (cond + cond.T) / (2.0 * len(cond))
 
 
 def sne_conditional_q(coords) -> np.ndarray:
@@ -283,20 +295,12 @@ def sne_conditional_q(coords) -> np.ndarray:
     return q / q.sum(axis=1, keepdims=True)
 
 
-def _kl(p_support: np.ndarray, log_p_support: np.ndarray, q_support: np.ndarray) -> float:
-    """Sum of p log(p/q) over the support of p, given p, log p and q there; q_support is overwritten."""
-    np.maximum(q_support, 1e-300, out=q_support)  # exp underflow, not a true zero
-    np.log(q_support, out=q_support)
-    np.subtract(log_p_support, q_support, out=q_support)
-    q_support *= p_support
-    return float(q_support.sum())
-
-
 def sne_cost(p_cond: np.ndarray, q_cond: np.ndarray) -> float:
     """Summed per-point KL divergence between neighbor distributions."""
     support = p_cond > 0
     p_support = p_cond[support]
-    return _kl(p_support, np.log(p_support), q_cond[support])
+    q_support = np.maximum(q_cond[support], 1e-300)  # exp underflow, not a true zero
+    return float(((np.log(p_support) - np.log(q_support)) * p_support).sum())
 
 
 def sne_gradient(p_cond: np.ndarray, q_cond: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -309,39 +313,30 @@ def sne_gradient(p_cond: np.ndarray, q_cond: np.ndarray, coords: np.ndarray) -> 
 
 
 def _student_t_q(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The joint Student-t q and the kernel w = 1/(1 + d2), which is written over d2."""
-    w = np.add(d2, 1.0, out=d2)
-    np.divide(1.0, w, out=w)
+    """The joint Student-t q and the kernel w = 1/(1 + d2) of the squared distances d2."""
+    w = 1.0 / (1.0 + d2)
     np.fill_diagonal(w, 0.0)
     return w / w.sum(), w
 
 
-def _student_t_step(
-    y: np.ndarray, p: np.ndarray, support: np.ndarray, p_support: np.ndarray, log_p_support: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """sne_cost and the gradient of the Student-t embedding y against the joint P.
-
-    support is the mask of P > 0, p_support and log_p_support P and log P there.
-    """
-    q, w = _student_t_q(pairwise_sq_distances(y))
-    cost = _kl(p_support, log_p_support, q[support])
-    m = np.subtract(p, q, out=q)  # (p - q) * w, over q
-    m *= w
-    return cost, 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+def _neg_entropy(p: np.ndarray) -> float:
+    """sum p log p over the positive entries of p, SNE_BLOCK_ROWS rows at a time."""
+    total = 0.0
+    for start in range(0, len(p), SNE_BLOCK_ROWS):
+        block = p[start : start + SNE_BLOCK_ROWS]
+        positive = block[block > 0]
+        total += float(np.dot(positive, np.log(positive)))
+    return total
 
 
 def _gaussian_terms(p: np.ndarray) -> tuple:
     """What _gaussian_step reads of the conditional P, which is overwritten with P + P^T.
 
-    Returns P + P^T, the row and column sums of P and of P + P^T, and sum p log p.
-    Both passes run SNE_BLOCK_ROWS rows at a time, so no second n x n array is made.
+    Returns P + P^T (all that _student_t_step reads), the row and column sums of P and of
+    P + P^T, and sum p log p. Both passes run SNE_BLOCK_ROWS rows at a time, so no second n x n array is made.
     """
     n = len(p)
-    neg_entropy = 0.0
-    for start in range(0, n, SNE_BLOCK_ROWS):
-        block = p[start : start + SNE_BLOCK_ROWS]
-        positive = block[block > 0]
-        neg_entropy += float(np.dot(positive, np.log(positive)))
+    neg_entropy = _neg_entropy(p)
     p_rows, p_cols = p.sum(axis=1), p.sum(axis=0)
     for start in range(0, n, SNE_BLOCK_ROWS):
         stop = start + SNE_BLOCK_ROWS
@@ -350,6 +345,31 @@ def _gaussian_terms(p: np.ndarray) -> tuple:
         p[start:stop, start:] = strip
         p[start:, start:stop] = strip.T
     return p, p_rows, p_cols, p.sum(axis=1), neg_entropy
+
+
+def _student_t_step(y: np.ndarray, s: np.ndarray, s_log_s: float) -> tuple[float, np.ndarray]:
+    """sne_cost and the gradient of the Student-t embedding y against the joint P = S / 2n, without forming q.
+
+    With S = P + P^T, s_log_s = sum S log S, w = 1/(1 + d2) and Z = sum w, KL = (s_log_s +
+    sum S log(1 + d2)) / 2n + log(Z / 2n), and 4 sum_j (p_ij - w_ij / Z) w_ij (y_i - y_j) is the
+    gradient. Both come from S w and w^2, summed SNE_BLOCK_ROWS rows at a time.
+    """
+    n = len(y)
+    sq = (y**2).sum(axis=1)
+    y1 = np.hstack([y, np.ones((n, 1))])
+    sw_y, w2_y = np.empty_like(y1), np.empty_like(y1)  # with the row sums in the last column
+    s_log_d, z = 0.0, 0.0
+    for start in range(0, n, SNE_BLOCK_ROWS):
+        rows = slice(start, start + SNE_BLOCK_ROWS)
+        d2 = np.maximum(sq[rows, None] + sq - 2.0 * (y[rows] @ y.T), 0.0)
+        s_log_d += np.vdot(s[rows], np.log1p(d2))
+        w = np.divide(1.0, np.add(d2, 1.0, out=d2), out=d2)
+        w[np.arange(len(w)), np.arange(start, start + len(w))] = 0.0  # no self-pair
+        z += w.sum()
+        sw_y[rows] = (s[rows] * w) @ y1
+        w2_y[rows] = np.square(w, out=w) @ y1
+    m_y = sw_y / (2 * n) - w2_y / z
+    return (s_log_s + s_log_d) / (2 * n) + math.log(z / (2 * n)), 4.0 * (m_y[:, -1:] * y - m_y[:, :-1])
 
 
 def _gaussian_step(y: np.ndarray, terms: tuple, e: np.ndarray) -> tuple[float, np.ndarray]:
@@ -386,25 +406,23 @@ def _gaussian_step(y: np.ndarray, terms: tuple, e: np.ndarray) -> tuple[float, n
 def sne_fit(data, config: SneConfig) -> Embedding:
     """Gradient descent with momentum on the embedding cost.
 
-    The Gaussian kernel fits the conditional P, the Student-t kernel its
-    symmetrized joint. Deterministic given config.seed. Raises NonFiniteCost
-    if the optimizer diverges (learning rate too high for the data).
+    The Gaussian kernel fits the conditional P, the Student-t kernel the joint
+    (P + P^T) / 2n, at default_learning_rate(n) unless a rate is set.
+    Deterministic given config.seed. Raises NonFiniteCost if the optimizer
+    diverges (learning rate too high for the data).
 
-    A Gaussian iteration holds two n x n arrays: P + P^T, written over P, and
-    one buffer of exponentials. It takes the cost and the gradient of sne_cost
-    and sne_gradient from the row normalisers and three matrix products
-    (_gaussian_step), so q, p - q and m = pq + pq^T are never formed.
+    Neither kernel forms q. A Gaussian iteration holds two n x n arrays, P + P^T
+    (written over P) and a buffer of exponentials; a Student-t iteration holds
+    one, P + P^T, and SNE_BLOCK_ROWS rows of its kernel.
     """
     x, perplexity = _checked_rows(data, config.perplexity)
     n = x.shape[0]
-    p = calibrated_conditionals(x, perplexity)
+    terms = _gaussian_terms(calibrated_conditionals(x, perplexity))
     if config.kernel == "gaussian":
-        step, args = _gaussian_step, (_gaussian_terms(p), np.empty((n, n)))
+        step, args = _gaussian_step, (terms, np.empty((n, n)))
     else:
-        p = symmetrize_conditionals(p)
-        support = p > 0
-        p_support = p[support]
-        step, args = _student_t_step, (p, support, p_support, np.log(p_support))
+        step, args = _student_t_step, (terms[0], _neg_entropy(terms[0]))
+    rate = default_learning_rate(n) if config.learning_rate is None else config.learning_rate
 
     rng = np.random.default_rng(config.seed)
     y = rng.normal(0.0, INIT_STD, size=(n, config.target_dim))
@@ -418,12 +436,12 @@ def sne_fit(data, config: SneConfig) -> Embedding:
                 raise NonFiniteCost(f"cost diverged at iteration {it}")
             trace[it] = cost
             momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else LATE_MOMENTUM
-            velocity = momentum * velocity - config.learning_rate * grad
+            velocity = momentum * velocity - rate * grad
             y = y + velocity
 
     if not np.isfinite(y).all():
         raise NonFiniteCost(f"coordinates diverged after {config.max_iter} iterations")
-    return Embedding(coords=y, final_cost=float(trace[-1]), cost_trace=trace)
+    return Embedding(coords=y, final_cost=float(trace[-1]), cost_trace=trace, learning_rate=rate)
 
 
 # --- pipeline glue -------------------------------------------------------------
@@ -445,4 +463,5 @@ def reduce_for_pipeline(data, train_mask, method: str, config: SneConfig = SneCo
     if method == "pca":
         return pca_transform(pca_fit(x[mask], config.target_dim), x), info
     embedding = sne_fit(x, config)
-    return embedding.coords, {**info, "final_cost": embedding.final_cost, "cost_trace": embedding.cost_trace}
+    fit = {"final_cost": embedding.final_cost, "cost_trace": embedding.cost_trace}
+    return embedding.coords, {**info, **fit, "learning_rate": embedding.learning_rate}

@@ -30,7 +30,15 @@ from voxbench.bench import (
 )
 from voxbench.bench.corpus import CorpusManifest, ManifestEntry, save_manifest
 from voxbench.bench.reports import format_float
-from voxbench.cli import MODEL_ALIASES, _extractor_config_from_args, _grid_from_json, build_parser, main
+from voxbench.cli import (
+    MODEL_ALIASES,
+    _extractor_config_from_args,
+    _grid_from_json,
+    build_parser,
+    main,
+    read_feature_csv,
+    write_feature_csv,
+)
 from voxbench.errors import PipelineError
 from voxbench.features import ExtractorConfig, default_config
 from voxbench.preprocessing import fit_silence_model, remove_silence
@@ -227,7 +235,7 @@ def test_reduce_pca_rejects_trace_before_writing(features_csv, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("method", REDUCER_NAMES)
-@pytest.mark.parametrize("key, value", [("max_iter", 0), ("perplexity", 0.5)])
+@pytest.mark.parametrize("key, value", [("max_iter", 0), ("perplexity", 0.5), ("learning_rate", 0.0)])
 def test_reduce_flags_are_checked_like_a_grid_reducer(cli_corpus, features_csv, tmp_path, capsys, method, key, value):
     out = tmp_path / "emb.csv"
     flag = "--" + key.replace("_", "-")
@@ -238,7 +246,8 @@ def test_reduce_flags_are_checked_like_a_grid_reducer(cli_corpus, features_csv, 
     assert main(["bench", "--manifest", str(cli_corpus / "manifest.csv"), "--grid", str(grid),
                  "--out", str(tmp_path / "out")]) == 2
     assert reduce_err == capsys.readouterr().err
-    assert reduce_err.startswith(f"error: reducer {method!r}: {key} must be >= 1, got ")
+    bound = "positive" if key == "learning_rate" else ">= 1"
+    assert reduce_err.startswith(f"error: reducer {method!r}: {key} must be {bound}, got ")
     assert not out.exists()
 
 
@@ -248,6 +257,7 @@ def test_reduce_flags_are_checked_like_a_grid_reducer(cli_corpus, features_csv, 
         (["--perplexity", "5"], "perplexity; it must keep its default None, got 5.0"),
         (["--max-iter", "50"], "max_iter; it must keep its default 500, got 50"),
         (["--kernel", "student-t"], "kernel; it must keep its default 'gaussian', got 'student-t'"),
+        (["--learning-rate", "0.5"], "learning_rate; it must keep its default None, got 0.5"),
     ],
 )
 def test_reduce_pca_rejects_an_sne_flag(features_csv, tmp_path, capsys, flags, message):
@@ -255,6 +265,20 @@ def test_reduce_pca_rejects_an_sne_flag(features_csv, tmp_path, capsys, flags, m
     assert main(["reduce", "--in", str(features_csv), "--method", "pca", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: reducer 'pca' does not read {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rate_flag", [[], ["--learning-rate", "50"]])
+def test_reduce_student_t_separates_three_blobs(tmp_path, rate_flag):
+    labels = np.repeat(np.arange(3), 100)
+    data = np.random.default_rng(28).normal(0, 1, (300, 8)) + 10.0 * np.eye(3, 8)[labels]
+    features, out = tmp_path / "blobs.csv", tmp_path / "emb.csv"
+    write_feature_csv(features, [("blobs.wav", label, i, row) for i, (label, row) in enumerate(zip(labels, data))], 8, "c")
+    assert main(["reduce", "--in", str(features), "--method", "sne", "--kernel", "student-t", *rate_flag,
+                 "--out", str(out)]) == 0
+    _, speakers, _, coords = read_feature_csv(out)
+    d2 = ((coords[:, None] - coords[None]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    assert (speakers[d2.argmin(axis=1)] == labels).mean() >= 0.95
 
 
 def test_reduce_header_only_csv_names_the_file(tmp_path, capsys):
@@ -372,6 +396,7 @@ def test_reduce_and_vad_flag_defaults_are_the_librarys():
     assert (reduce.dim, reduce.perplexity, reduce.max_iter, reduce.kernel, reduce.seed) == (
         sne.target_dim, sne.perplexity, sne.max_iter, sne.kernel, sne.seed
     )
+    assert reduce.learning_rate is SneConfig.learning_rate is None  # the kernel's default
     vad = parser.parse_args(["vad", "--in", "a.wav", "--out", "b.wav"])
     fit = inspect.signature(fit_silence_model).parameters
     trim = inspect.signature(remove_silence).parameters

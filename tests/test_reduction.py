@@ -8,6 +8,7 @@ import pytest
 from voxbench import reduction
 from voxbench.errors import DataTooSmall, DegenerateData, DimensionMismatch, NonFiniteCost, PerplexityUnreachable
 from voxbench.reduction import (
+    DEFAULT_LEARNING_RATE,
     INIT_STD,
     LATE_MOMENTUM,
     MAX_BANDWIDTH_STEPS,
@@ -15,11 +16,15 @@ from voxbench.reduction import (
     MOMENTUM_SWITCH_ITER,
     PERPLEXITY_TOL,
     REDUCER_NAMES,
+    ReducerSpec,
     SneConfig,
     _gaussian_step,
     _gaussian_terms,
+    _neg_entropy,
     _student_t_q,
+    _student_t_step,
     calibrated_conditionals,
+    default_learning_rate,
     default_perplexity,
     is_transductive,
     pairwise_sq_distances,
@@ -32,7 +37,6 @@ from voxbench.reduction import (
     sne_fit,
     sne_gradient,
     sne_p_matrix,
-    symmetrize_conditionals,
 )
 
 
@@ -120,7 +124,7 @@ def test_pca_dimension_mismatch():
 def test_two_point_joint_probability():
     cond = sne_conditional_q(np.array([[0.0], [3.0]]))
     np.testing.assert_allclose(cond, [[0, 1], [1, 0]])
-    joint = symmetrize_conditionals(cond)
+    joint = _gaussian_terms(cond)[0] / 4  # P + P^T over 2n, as the Student-t fit reads it
     assert joint[0, 1] == pytest.approx(0.5)
     assert joint[1, 0] == pytest.approx(0.5)
 
@@ -254,8 +258,8 @@ def test_dense_fit_holds_at_most_two_n_by_n_arrays():
     assert peak <= 2.2 * n * n * 8
 
 
-def test_student_t_fit_holds_fewer_than_seven_n_by_n_arrays():
-    n = 294  # rows per extractor of the sne-sweep workload
+def test_student_t_fit_holds_under_two_and_a_half_n_by_n_arrays():
+    n = 1260  # rows per extractor of the acceptance corpus
     data = np.random.default_rng(27).normal(0, 1, (n, 13))
     tracemalloc.start()
     try:
@@ -263,8 +267,8 @@ def test_student_t_fit_holds_fewer_than_seven_n_by_n_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # P, P and log P on its support, the kernel, q and the gathered q: six arrays and the bool support mask
-    assert peak < 7 * n * n * 8
+    # P + P^T, written over P, and row blocks of the kernel
+    assert peak < 2.5 * n * n * 8
 
 
 def test_calibration_raises_no_runtime_warning():
@@ -392,6 +396,8 @@ def _oracle_cases():
     data[-1] += 1e3
     y[-1] = [60.0, 0.0]
     yield "far point", data, y
+    # rows per extractor of the acceptance corpus
+    yield "n=1260", rng.normal(0, 1, (1260, 5)), rng.normal(0, 2, (1260, 2))
 
 
 @pytest.mark.parametrize("case, data, y", [pytest.param(*case, id=case[0]) for case in _oracle_cases()])
@@ -406,20 +412,31 @@ def test_gaussian_step_equals_cost_and_gradient_oracles(case, data, y):
     np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-11 * np.abs(expected_grad).max())
 
 
+@pytest.mark.parametrize("case, data, y", [pytest.param(*case, id=case[0]) for case in _oracle_cases()])
+def test_student_t_step_equals_cost_and_gradient_oracles(case, data, y):
+    cond = calibrated_conditionals(data, default_perplexity(len(data)))
+    p = sne_p_matrix(data)
+    q, w = _student_t_q(pairwise_sq_distances(y))
+    m = (p - q) * w
+    expected_cost, expected_grad = sne_cost(p, q), 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+    s = _gaussian_terms(cond)[0]
+    cost, grad = _student_t_step(y, s, _neg_entropy(s))
+    assert abs(cost - expected_cost) <= 1e-12 * abs(expected_cost)
+    np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-12 * np.abs(expected_grad).max())
+
+
 def test_student_t_fit_equals_plain_loop_over_its_kernel():
     rng = np.random.default_rng(24)
     data = np.vstack([rng.normal(0, 1, (15, 4)), rng.normal(6, 1, (15, 4))])
     config = SneConfig(perplexity=8.0, seed=3, kernel="student-t", learning_rate=30.0,
                        max_iter=MOMENTUM_SWITCH_ITER + 20)
-    p = sne_p_matrix(data, config.perplexity)
+    s = _gaussian_terms(calibrated_conditionals(data, config.perplexity))[0]
     y = np.random.default_rng(config.seed).normal(0.0, INIT_STD, size=(30, config.target_dim))
     velocity = np.zeros_like(y)
     trace = []
     for it in range(config.max_iter):
-        q, w = _student_t_q(pairwise_sq_distances(y))
-        trace.append(sne_cost(p, q))
-        m = (p - q) * w
-        grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+        cost, grad = _student_t_step(y, s, _neg_entropy(s))
+        trace.append(cost)
         momentum = MOMENTUM if it < MOMENTUM_SWITCH_ITER else LATE_MOMENTUM
         velocity = momentum * velocity - config.learning_rate * grad
         y = y + velocity
@@ -440,6 +457,27 @@ def test_student_t_kernel_also_descends():
     data = np.vstack([rng.normal(0, 1, (15, 4)), rng.normal(6, 1, (15, 4))])
     emb = sne_fit(data, SneConfig(perplexity=8.0, seed=3, kernel="student-t", learning_rate=30.0))
     assert emb.cost_trace[-1] < emb.cost_trace[0]
+
+
+def test_student_t_fit_at_default_settings_separates_three_blobs():
+    labels = np.repeat(np.arange(3), 100)
+    data = np.random.default_rng(28).normal(0, 1, (300, 8)) + 10.0 * np.eye(3, 8)[labels]
+    out, info = reduce_for_pipeline(data, np.ones(300, bool), "sne", config=SneConfig(kernel="student-t"))
+    assert info["learning_rate"] == default_learning_rate(300) == 25.0
+    d2 = pairwise_sq_distances(out)
+    np.fill_diagonal(d2, np.inf)
+    assert (labels[d2.argmin(axis=1)] == labels).mean() >= 0.95  # leave-one-out 1-NN; 0.82 at a rate of 0.2
+
+
+@pytest.mark.parametrize(
+    "spec, rate",
+    [(ReducerSpec("sne"), DEFAULT_LEARNING_RATE), (ReducerSpec("pca"), DEFAULT_LEARNING_RATE),
+     (ReducerSpec("pca", learning_rate=DEFAULT_LEARNING_RATE), DEFAULT_LEARNING_RATE),  # as the grid block prints it
+     (ReducerSpec("sne", kernel="student-t"), None), (ReducerSpec("sne", kernel="student-t", learning_rate=50.0), 50.0)],
+)
+def test_unset_learning_rate_is_the_gaussian_default_or_set_at_fit_time(spec, rate):
+    # the report's grid block prints spec.learning_rate
+    assert spec.learning_rate == rate and spec.sne_config(seed=0).learning_rate == rate
 
 
 # --- pipeline glue --------------------------------------------------------------
