@@ -247,12 +247,16 @@ def _failure(exc: PipelineError) -> str:
 
 
 def recording_features(path, name: str, extractors, sample_rate=None, max_frames=None, trim: bool = True):
-    """The recording's sample rate and, per extractor, its FeatureMatrix or PipelineError.
+    """The recording's sample rate and, per extractor, its FeatureMatrix or the PipelineError that stopped it.
 
-    Raises a read, sample-rate (unless sample_rate is None) or trimming (unless trim is false) error;
-    trimming silences the contamination warning. Errors not from the reader, which names the file, lead with name.
+    A read, sample-rate (unless sample_rate is None) or trimming (unless trim is false) error stops every extractor:
+    it is every item, and the sample rate returned is the one given. Trimming silences the contamination warning.
+    Errors not from the reader, which names the file, lead with name.
     """
-    signal = load_wav(path)
+    try:
+        signal = load_wav(path)
+    except PipelineError as exc:
+        return sample_rate, [exc] * len(extractors)
     try:
         if sample_rate is not None and signal.sample_rate != sample_rate:
             raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
@@ -263,7 +267,7 @@ def recording_features(path, name: str, extractors, sample_rate=None, max_frames
                 warnings.simplefilter("ignore")
                 signal = remove_silence(signal, model).trimmed
     except PipelineError as exc:
-        raise type(exc)(f"{name}: {exc}") from None
+        return sample_rate, [type(exc)(f"{name}: {exc}")] * len(extractors)
     features = []
     for extractor in extractors:
         try:
@@ -275,56 +279,52 @@ def recording_features(path, name: str, extractors, sample_rate=None, max_frames
 
 def _frame_tables(
     manifest: CorpusManifest, extractors, settings: HarnessSettings
-) -> tuple[dict[str, FrameTable], dict[str, str]]:
-    """One frame table per extractor kind, or the reason its extraction failed.
+) -> dict[str, FrameTable | PipelineError]:
+    """Per extractor kind, in extractor order, its frame table or the PipelineError that stopped its extraction.
 
     Each recording is read and silence-trimmed once for all extractors. An
-    extractor's reason is the first PipelineError its frames meet, in manifest
-    order, and names the recording; an error reading or trimming a recording
-    fails every extractor still live.
+    extractor's error is the first one its frames meet, in manifest order, and
+    names the recording; an error reading or trimming a recording is the error
+    of every extractor still live, and no recording is read once none is.
     """
-    blocks: dict[str, list[np.ndarray]] = {extractor.kind: [] for extractor in extractors}
-    failures: dict[str, str] = {}
+    # a live extractor's result is the list of its recordings' frame blocks so far
+    results: dict[str, list | FrameTable | PipelineError] = {extractor.kind: [] for extractor in extractors}
     sample_rate = manifest.sample_rate
     for entry in manifest.entries:
-        live = [extractor for extractor in extractors if extractor.kind not in failures]
+        live = [extractor for extractor in extractors if isinstance(results[extractor.kind], list)]
         if not live:
             break
-        try:
-            sample_rate, features = recording_features(
-                manifest.resolve(entry), entry.path, live, sample_rate, settings.max_frames_per_file
-            )
-        except PipelineError as exc:
-            failures.update((extractor.kind, _failure(exc)) for extractor in live)
-            continue
+        sample_rate, features = recording_features(
+            manifest.resolve(entry), entry.path, live, sample_rate, settings.max_frames_per_file
+        )
         for extractor, matrix in zip(live, features):
             if isinstance(matrix, PipelineError):
-                failures[extractor.kind] = _failure(matrix)
+                results[extractor.kind] = matrix
             else:
-                blocks[extractor.kind].append(matrix.values)
+                results[extractor.kind].append(matrix.values)
     speaker_to_class = {sid: i for i, sid in enumerate(manifest.speaker_ids)}
     classes = [speaker_to_class[entry.speaker] for entry in manifest.entries]
-    tables: dict[str, FrameTable] = {}
-    for kind, values in blocks.items():
-        if kind not in failures:
+    for kind, values in results.items():
+        if isinstance(values, list):
             counts = [len(block) for block in values]
             recordings = np.repeat(np.arange(len(counts)), counts)
-            tables[kind] = FrameTable(np.vstack(values), np.repeat(classes, counts), recordings, len(speaker_to_class))
-    return tables, failures
+            results[kind] = FrameTable(np.vstack(values), np.repeat(classes, counts), recordings, len(speaker_to_class))
+    return results
 
 
 def _grid_entries(
     manifest: CorpusManifest,
     cells: list[Cell],
-    tables: dict[str, FrameTable],
-    failures: dict[str, str],
+    tables: dict[str, FrameTable | PipelineError],
     master_seed: int,
     settings: HarnessSettings,
     jobs: int = 1,
 ) -> list[dict]:
     """One report entry per (extractor, reducer, classifier, speakers) cell, in cell order.
 
-    Starts from the frame tables (or extraction failures) of _frame_tables.
+    Starts from the frame tables (or extraction errors) of _frame_tables;
+    each stage hands on its value or the PipelineError that stopped it, and
+    an error becomes a failure_reason only as its cell's entry is written.
     A cell's speakers picks its row view of the extractor's table: None for
     the whole table, a count for table.first_speakers(count). Stage outputs
     are shared: one train mask per extractor kind and view, one embedding per
@@ -341,25 +341,25 @@ def _grid_entries(
     views: dict[tuple, tuple[FrameTable, np.ndarray]] = {}
     stages: dict[tuple, tuple[ExtractorConfig, ReducerSpec, Optional[int]]] = {}
     for extractor, reducer, _, speakers in cells:
-        if extractor.kind in tables and (extractor.kind, speakers) not in views:
-            table = tables[extractor.kind]
+        table = tables[extractor.kind]
+        if isinstance(table, FrameTable) and (extractor.kind, speakers) not in views:
             table = table if speakers is None else table.first_speakers(speakers)
             views[extractor.kind, speakers] = table, holdout_train_mask(manifest, table, rotation)
         stages.setdefault((extractor.kind, reducer.method, speakers), (extractor, reducer, speakers))
 
     def embed(
         extractor: ExtractorConfig, reducer: ReducerSpec, speakers: Optional[int]
-    ) -> tuple[Optional[LabeledDataset], Optional[str]]:
-        """The view's reduced rows as a dataset, or the reason its extraction or reduction failed."""
-        if extractor.kind in failures:
-            return None, failures[extractor.kind]
+    ) -> LabeledDataset | PipelineError:
+        """The view's reduced rows as a dataset, or the error that stopped its extraction or reduction."""
+        if isinstance(tables[extractor.kind], PipelineError):
+            return tables[extractor.kind]
         table, mask = views[extractor.kind, speakers]
         seed = derive_seed(master_seed, f"embed:{extractor.kind}:{reducer.method}")
         try:
             reduced, _ = reduce_for_pipeline(table.features, mask, reducer.method, config=reducer.sne_config(seed))
         except PipelineError as exc:
-            return None, _failure(exc)
-        return LabeledDataset(points=reduced, labels=table.speakers, train_mask=mask), None
+            return exc
+        return LabeledDataset(points=reduced, labels=table.speakers, train_mask=mask)
 
     def cell_entry(extractor: ExtractorConfig, reducer: ReducerSpec, classifier: ClassifierSpec) -> dict:
         combo_tag = f"{extractor.kind}:{reducer.method}:{classifier.name}"
@@ -382,32 +382,31 @@ def _grid_entries(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             embedded = list(pool.map(lambda stage: embed(*stage), stages.values()))
     embeddings = dict(zip(stages, embedded))
-    datasets = [embeddings[e.kind, r.method, s][0] for e, r, _, s in cells]
-    reasons = [embeddings[e.kind, r.method, s][1] for e, r, _, s in cells]
+    results = [embeddings[e.kind, r.method, s] for e, r, _, s in cells]  # dataset, then report fields, or error
     entries = [cell_entry(e, r, c) for e, r, c, _ in cells]
 
     by_name: dict[str, tuple[ClassifierSpec, list[int]]] = {}
     for i, (_, _, classifier, _) in enumerate(cells):
         by_name.setdefault(classifier.name, (classifier, []))[1].append(i)
     for classifier, members in by_name.values():
-        live = [i for i in members if reasons[i] is None]
+        live = [i for i in members if isinstance(results[i], LabeledDataset)]
         # one call per classifier, so that the models which can share a training step do
         trained = train_by_name(
-            classifier.name, [datasets[i] for i in live], [entries[i]["seed"] for i in live], **classifier.params
+            classifier.name, [results[i] for i in live], [entries[i]["seed"] for i in live], **classifier.params
         )
-        for i, model in zip(live, trained):
-            if isinstance(model, PipelineError):
-                reasons[i] = _failure(model)
-                continue
-            extractor, _, _, speakers = cells[i]
-            try:
-                entries[i].update(_evaluate_split(model, datasets[i], views[extractor.kind, speakers][0], settings))
-            except PipelineError as exc:
-                reasons[i] = _failure(exc)
-    for entry, reason in zip(entries, reasons):
-        entry["status"] = "ok" if reason is None else "failed"
-        if reason is not None:
-            entry["failure_reason"] = reason
+        for i, result in zip(live, trained):  # a model, or the error that stopped its training
+            if not isinstance(result, PipelineError):
+                extractor, _, _, speakers = cells[i]
+                try:
+                    result = _evaluate_split(result, results[i], views[extractor.kind, speakers][0], settings)
+                except PipelineError as exc:
+                    result = exc
+            results[i] = result
+    for entry, result in zip(entries, results):
+        if isinstance(result, PipelineError):
+            entry.update(status="failed", failure_reason=_failure(result))
+        else:
+            entry.update(result, status="ok")
     return entries
 
 
@@ -456,8 +455,8 @@ def run_sweep(
             extractors += (extractor,)
         curve_cells = [(extractor, reducer, classifier, None if n == roster else n) for n in curve.speaker_counts]
         cells += [cell for cell in curve_cells if cell not in cells]
-    tables, failures = _frame_tables(manifest, extractors, settings)
-    entries = _grid_entries(manifest, cells, tables, failures, master_seed, settings, jobs)
+    tables = _frame_tables(manifest, extractors, settings)
+    entries = _grid_entries(manifest, cells, tables, master_seed, settings, jobs)
     report = {
         "master_seed": master_seed,
         "manifest": _manifest_metadata(manifest),

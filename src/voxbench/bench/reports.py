@@ -186,11 +186,119 @@ def load_report_json(path) -> dict:
         return json.load(fh)
 
 
+_MISSING = object()  # the value of a key that one report lacks
+
+
+def diff_reports(path_a, path_b) -> list[str]:
+    """The lines of `voxbench diff A B`: one per difference between two report.json files, none if they are equal.
+
+    Cells are matched by (reducer, extractor, classifier) and scaling-curve rows
+    by speaker count. A cell that differs gets one line: its status change, or
+    the deltas of frame accuracy, recording accuracy and distinguishable
+    count, the number of changed confusion entries, the speakers whose ROC
+    points moved, the largest absolute difference of its numbers and the
+    names of its other changed keys. A key that one report lacks, a cell or
+    curve row included, is listed as only in the other; any other value that
+    differs gets its own line. NaN equals NaN. Raises ValueError if a file is
+    not a sweep report.
+    """
+
+    def keyed(path) -> dict:
+        """The report with its cells keyed by reducer/extractor/classifier and its curve rows by speaker count."""
+        try:
+            report = load_report_json(path)
+        except ValueError as exc:  # malformed JSON or text that is not UTF-8
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+        if not isinstance(report, dict) or not isinstance(report.get("combinations"), list):
+            raise ValueError(f"{path}: not a sweep report; it needs a 'combinations' list")
+        cells = {}
+        for entry in report["combinations"]:
+            fields = entry if isinstance(entry, dict) else {}
+            axes = [fields.get(axis) for axis in ("reducer", "extractor", "classifier")]
+            if not all(isinstance(name, str) for name in axes) or "/".join(axes) in cells:
+                raise ValueError(f"{path}: each combination must name a distinct reducer, extractor and classifier")
+            cells["/".join(axes)] = entry
+        report = {**report, "combinations": cells}
+        curve = report.get("scaling_curve")
+        if isinstance(curve, dict) and "rows" in curve:
+            rows = curve["rows"]
+            if not isinstance(rows, list) or not all(isinstance(r, list) and r and type(r[0]) is int for r in rows):
+                raise ValueError(f"{path}: each scaling_curve row must be a list that starts with its speaker count")
+            report["scaling_curve"] = {**curve, "rows": {row[0]: row for row in rows}}
+        return report
+
+    def walk(x, y, path=()):
+        """(path, x, y) for each value that differs, down to the first key or list item where x and y part."""
+        if isinstance(x, dict) and isinstance(y, dict):
+            for key in sorted(x.keys() | y.keys()):
+                yield from walk(x.get(key, _MISSING), y.get(key, _MISSING), (*path, key))
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, pair in enumerate(zip(x, y)):
+                yield from walk(*pair, (*path, i))
+        elif type(x) is not type(y) or (x != y and not (x != x and y != y)):
+            yield path, x, y
+
+    def only_in(x) -> str:
+        return "only in B" if x is _MISSING else "only in A"
+
+    def is_number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    a, b = keyed(path_a), keyed(path_b)
+    cells_a, cells_b = a.pop("combinations"), b.pop("combinations")
+    lines = []
+    for name in sorted(cells_a.keys() | cells_b.keys()):
+        x, y = cells_a.get(name, _MISSING), cells_b.get(name, _MISSING)
+        diffs = list(walk(x, y))
+        if not diffs:
+            continue
+        if _MISSING in (x, y):
+            lines.append(f"{only_in(x)}: cell {name}")
+            continue
+        if x.get("status") != y.get("status"):
+            lines.append(f"cell {name}: status {x.get('status')} -> {y.get('status')}")
+            continue
+        changed = {path[0] for path, _, _ in diffs}
+        parts = []
+        for key, label in (
+            ("frame_accuracy_pct", "frame accuracy"),
+            ("recording_accuracy_pct", "recording accuracy"),
+            ("distinguishable_count", "distinguishable"),
+        ):
+            if key in changed and is_number(x.get(key)) and is_number(y.get(key)):
+                parts.append(f"{label} {y[key] - x[key]:+.6g}")
+                changed.discard(key)
+        confusion = sum(1 for path, _, _ in diffs if path[0] == "confusion" and len(path) > 1)
+        if confusion:
+            parts.append(f"{confusion} confusion entries")
+            changed.discard("confusion")
+        moved = {path[1] for path, _, _ in diffs if path[0] == "roc_curves" and len(path) > 1}
+        speakers = sorted(moved, key=lambda speaker: (len(speaker), speaker))  # "2" before "10"
+        if speakers:
+            parts.append(f"ROC of speakers {', '.join(speakers)}")
+            changed.discard("roc_curves")
+        gaps = [abs(v - u) for _, u, v in diffs if is_number(u) and is_number(v)]
+        gaps = [gap for gap in gaps if not math.isnan(gap)]  # NaN against a number has no size
+        if gaps:
+            parts.append(f"max |diff| {max(gaps):.6g}")
+        for key in sorted(changed):
+            parts.append(f"changed {key}" if key in x and key in y else f"{key} {only_in(x.get(key, _MISSING))}")
+        lines.append(f"cell {name}: {'; '.join(parts)}")
+    for path, x, y in walk(a, b):
+        where = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path).lstrip(".")
+        if _MISSING in (x, y):
+            lines.append(f"{only_in(x)}: {where}")
+        else:
+            lines.append(f"{where}: {json.dumps(x)} -> {json.dumps(y)}")
+    return lines
+
+
 __all__ = [
     "REFERENCE_ACCURACY",
     "REFERENCE_DISTINGUISHABLE",
     "REFERENCE_NOTE",
     "REFERENCE_SCALING",
+    "diff_reports",
     "format_float",
     "load_report_json",
     "round_floats",

@@ -1,4 +1,4 @@
-"""Command-line interface: synth, vad, extract, reduce, train, predict, bench, roc."""
+"""Command-line interface: synth, vad, extract, reduce, train, predict, bench, roc, diff."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import pickle
+import re
 import sys
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .bench.harness import (
     default_grid,
     recording_features,
 )
-from .bench.reports import format_float, write_csv, write_report_json
+from .bench.reports import diff_reports, format_float, write_csv, write_report_json
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError, check_parameter_names
 from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config
@@ -201,10 +202,11 @@ def cmd_reduce(args) -> int:
 
 
 def _parse_params(spec: str | None) -> dict:
+    """key=value items split at commas outside [...], so that a list value such as hidden=[30,15] stays whole."""
     if not spec:
         return {}
     params = {}
-    for item in spec.split(","):
+    for item in re.split(r",(?![^\[]*\])", spec):
         key, _, raw = item.partition("=")
         if not _:
             raise ValueError(f"malformed parameter {item!r}; expected key=value")
@@ -241,8 +243,14 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     with open(args.model_path, "rb") as fh:
-        payload = pickle.load(fh)
-    if payload.get("format") != MODEL_FORMAT or payload.get("version") != MODEL_FORMAT_VERSION:
+        try:
+            payload = pickle.load(fh)
+        # what pickle raises on bytes that are no pickle: its documented list, and a bad opcode argument or length
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError, IndexError,
+                TypeError, ValueError, MemoryError):
+            payload = None
+    header = payload if isinstance(payload, dict) else {}
+    if header.get("format") != MODEL_FORMAT or header.get("version") != MODEL_FORMAT_VERSION:
         return _fail(f"{args.model_path} is not a version-{MODEL_FORMAT_VERSION} model file")
     model = payload["model"]
     sources, _, frames, matrix = read_feature_csv(args.in_path)
@@ -362,6 +370,13 @@ def cmd_roc(args) -> int:
     return _fail("no matching combination in the report")
 
 
+def cmd_diff(args) -> int:
+    lines = diff_reports(args.report_a, args.report_b)
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
 # --- parser ------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier on an embedding csv")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--model", choices=sorted(MODEL_ALIASES), required=True)
-    p.add_argument("--params", help="comma-separated key=value overrides, e.g. k=5")
+    p.add_argument("--params", help="comma-separated key=value overrides, e.g. k=5 or hidden=[30,15],epochs=2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", dest="out_path", required=True)
     p.set_defaults(handler=cmd_train)
@@ -450,6 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", default="knn")
     p.add_argument("--out", dest="out_path", required=True)
     p.set_defaults(handler=cmd_roc)
+
+    p = sub.add_parser("diff", help="list what differs between two report.json files (exit 1 if anything does)")
+    p.add_argument("report_a", metavar="A", help="the first report.json")
+    p.add_argument("report_b", metavar="B", help="the second report.json")
+    p.set_defaults(handler=cmd_diff)
 
     return parser
 

@@ -142,7 +142,7 @@ def is_transductive(method: str) -> bool:
 
 @dataclass(frozen=True)
 class ReducerSpec:
-    """Reduction method plus its knobs, defaulting to SneConfig's; name defaults to the method.
+    """Reduction method plus its knobs, defaulting to SneConfig's.
 
     A knob that the method never reads (REDUCER_UNREAD_KNOBS) must keep its default.
     An unset learning_rate becomes SneConfig's: DEFAULT_LEARNING_RATE unless the
@@ -329,22 +329,26 @@ def _neg_entropy(p: np.ndarray) -> float:
     return total
 
 
-def _gaussian_terms(p: np.ndarray) -> tuple:
-    """What _gaussian_step reads of the conditional P, which is overwritten with P + P^T.
-
-    Returns P + P^T (all that _student_t_step reads), the row and column sums of P and of
-    P + P^T, and sum p log p. Both passes run SNE_BLOCK_ROWS rows at a time, so no second n x n array is made.
-    """
-    n = len(p)
-    neg_entropy = _neg_entropy(p)
-    p_rows, p_cols = p.sum(axis=1), p.sum(axis=0)
-    for start in range(0, n, SNE_BLOCK_ROWS):
+def _symmetrize(p: np.ndarray) -> np.ndarray:
+    """p with P + P^T written over it, SNE_BLOCK_ROWS rows at a time, so no second n x n array is made."""
+    for start in range(0, len(p), SNE_BLOCK_ROWS):
         stop = start + SNE_BLOCK_ROWS
         # rows and columns from start on are still P's own
         strip = p[start:stop, start:] + p[start:, start:stop].T
         p[start:stop, start:] = strip
         p[start:, start:stop] = strip.T
-    return p, p_rows, p_cols, p.sum(axis=1), neg_entropy
+    return p
+
+
+def _gaussian_terms(p: np.ndarray) -> tuple:
+    """What _gaussian_step reads of the conditional P, which is overwritten with P + P^T.
+
+    Returns P + P^T, the row and column sums of P and of P + P^T, and sum p log p.
+    """
+    neg_entropy = _neg_entropy(p)
+    p_rows, p_cols = p.sum(axis=1), p.sum(axis=0)
+    p_sym = _symmetrize(p)
+    return p_sym, p_rows, p_cols, p_sym.sum(axis=1), neg_entropy
 
 
 def _student_t_step(y: np.ndarray, s: np.ndarray, s_log_s: float) -> tuple[float, np.ndarray]:
@@ -417,11 +421,12 @@ def sne_fit(data, config: SneConfig) -> Embedding:
     """
     x, perplexity = _checked_rows(data, config.perplexity)
     n = x.shape[0]
-    terms = _gaussian_terms(calibrated_conditionals(x, perplexity))
+    p = calibrated_conditionals(x, perplexity)
     if config.kernel == "gaussian":
-        step, args = _gaussian_step, (terms, np.empty((n, n)))
+        step, args = _gaussian_step, (_gaussian_terms(p), np.empty((n, n)))
     else:
-        step, args = _student_t_step, (terms[0], _neg_entropy(terms[0]))
+        s = _symmetrize(p)
+        step, args = _student_t_step, (s, _neg_entropy(s))
     rate = default_learning_rate(n) if config.learning_rate is None else config.learning_rate
 
     rng = np.random.default_rng(config.seed)

@@ -32,7 +32,7 @@ from voxbench.bench import (
     speaker_scaling_curve,
 )
 from voxbench import reduction
-from voxbench.errors import UndefinedRoc
+from voxbench.errors import PipelineError, UndefinedRoc
 from voxbench.preprocessing import DEFAULT_MIN_SEGMENT_MS, DEFAULT_U_THRESHOLD
 from voxbench.reduction import SneConfig
 from voxbench.features import default_config
@@ -151,7 +151,7 @@ def test_manifest_validation(tmp_path):
 # --- split ---------------------------------------------------------------------
 
 def test_holdout_split_never_straddles_recordings(small_corpus):
-    table = harness._frame_tables(small_corpus, (default_config("mfcc"),), FAST)[0]["mfcc"]
+    table = harness._frame_tables(small_corpus, (default_config("mfcc"),), FAST)["mfcc"]
     mask = holdout_train_mask(small_corpus, table, rotation=0)
     for rec in np.unique(table.recordings):
         rows = table.recordings == rec
@@ -165,13 +165,18 @@ def test_holdout_split_never_straddles_recordings(small_corpus):
 
 
 def test_holdout_rotation_changes_selection(small_corpus):
-    table = harness._frame_tables(small_corpus, (default_config("mfcc"),), FAST)[0]["mfcc"]
+    table = harness._frame_tables(small_corpus, (default_config("mfcc"),), FAST)["mfcc"]
     first = holdout_train_mask(small_corpus, table, rotation=0)
     second = holdout_train_mask(small_corpus, table, rotation=1)
     assert (first != second).any()
 
 
 # --- frame tables ----------------------------------------------------------------
+
+def failure_reasons(results):
+    """The failure_reason of each extractor kind whose frame table failed."""
+    return {kind: harness._failure(result) for kind, result in results.items() if isinstance(result, PipelineError)}
+
 
 FRAME_GRID = (
     default_config("mfcc", frame_ms=20, hop_ms=8),
@@ -183,12 +188,12 @@ FRAME_GRID = (
 @pytest.mark.parametrize("cap", [None, 7])
 def test_shared_pass_tables_equal_one_extractor_passes(small_corpus, cap):
     settings = HarnessSettings(max_frames_per_file=cap)
-    tables, failures = harness._frame_tables(small_corpus, FRAME_GRID, settings)
-    assert failures == {} and list(tables) == ["mfcc", "lpcc", "plp"]
+    tables = harness._frame_tables(small_corpus, FRAME_GRID, settings)
+    assert failure_reasons(tables) == {} and list(tables) == ["mfcc", "lpcc", "plp"]
     if cap is None:  # a 20/8 ms mfcc keeps more rows than the 25/10 ms lpcc
         assert len(tables["mfcc"].features) > len(tables["lpcc"].features)
     for extractor in FRAME_GRID:
-        alone = harness._frame_tables(small_corpus, (extractor,), settings)[0][extractor.kind]
+        alone = harness._frame_tables(small_corpus, (extractor,), settings)[extractor.kind]
         shared = tables[extractor.kind]
         assert shared.class_count == alone.class_count
         for name in ("features", "speakers", "recordings"):
@@ -401,18 +406,18 @@ def pair_grid(sne=ReducerSpec("sne", max_iter=30)):
     )
 
 
-def grid_entries(manifest, grid, tables, failures, jobs):
+def grid_entries(manifest, grid, tables, jobs):
     cells = [(e, r, c, None) for c in grid.classifiers for r in grid.reducers for e in grid.extractors]
-    return harness._grid_entries(manifest, cells, tables, failures, 7, FAST, jobs=jobs)
+    return harness._grid_entries(manifest, cells, tables, 7, FAST, jobs=jobs)
 
 
 @pytest.mark.parametrize("jobs", [2, 5])  # 5 threads > 4 embeddings
 def test_pooled_embeddings_equal_serial_entries(small_corpus, jobs):
     grid = pair_grid()
-    tables, failures = harness._frame_tables(small_corpus, grid.extractors, FAST)
-    serial = grid_entries(small_corpus, grid, tables, failures, jobs=1)
+    tables = harness._frame_tables(small_corpus, grid.extractors, FAST)
+    serial = grid_entries(small_corpus, grid, tables, jobs=1)
     assert len(serial) == 8 and all(e["status"] == "ok" for e in serial)
-    np.testing.assert_equal(grid_entries(small_corpus, grid, tables, failures, jobs=jobs), serial)
+    np.testing.assert_equal(grid_entries(small_corpus, grid, tables, jobs=jobs), serial)
 
 
 @pytest.mark.parametrize(
@@ -424,19 +429,19 @@ def test_pooled_embeddings_equal_serial_entries(small_corpus, jobs):
 )
 def test_failed_sne_pair_fails_only_its_cells_on_the_pool(small_corpus, lpcc_rows, perplexity, reason):
     grid = pair_grid(ReducerSpec("sne", perplexity=perplexity, max_iter=30))
-    tables, failures = harness._frame_tables(small_corpus, grid.extractors, FAST)
+    tables = harness._frame_tables(small_corpus, grid.extractors, FAST)
     lpcc = tables["lpcc"]
     tables["lpcc"] = harness.FrameTable(
         lpcc.features[lpcc_rows], lpcc.speakers[lpcc_rows], lpcc.recordings[lpcc_rows], lpcc.class_count
     )
     assert len(tables["mfcc"].features) == 150  # so SNE at perplexity 50 fits mfcc and not lpcc
-    entries = grid_entries(small_corpus, grid, tables, failures, jobs=2)
+    entries = grid_entries(small_corpus, grid, tables, jobs=2)
     for entry in entries:
         if entry["extractor"] == "lpcc" and entry["reducer"] == "sne":
             assert entry["status"] == "failed" and entry["failure_reason"] == reason
         elif entry["extractor"] == "mfcc":
             assert entry["status"] == "ok"
-    np.testing.assert_equal(entries, grid_entries(small_corpus, grid, tables, failures, jobs=1))
+    np.testing.assert_equal(entries, grid_entries(small_corpus, grid, tables, jobs=1))
 
 
 # its 3-speaker count is the whole-table view, so of its two counts only the 2-speaker one adds a fit
@@ -607,7 +612,7 @@ def test_vad_failure_names_the_recording(small_corpus, tmp_path):
     silent = small_corpus.entries[2].path
     write_wav(corpus / silent, AudioSignal(samples=np.zeros(16000), sample_rate=16000))
     manifest = load_manifest(corpus / "manifest.csv")
-    _, failures = harness._frame_tables(manifest, mini_grid().extractors, FAST)
+    failures = failure_reasons(harness._frame_tables(manifest, mini_grid().extractors, FAST))
     assert failures == {"mfcc": f"DegenerateSilence: {silent}: leading 200 ms is constant; cannot model silence"}
 
 
@@ -626,7 +631,9 @@ def test_extractor_failure_is_the_first_error_its_frames_meet(small_corpus, tmp_
     monkeypatch.setattr(harness, "load_wav", counting_load_wav)
     short_fft = default_config("mfcc", fft_size=256)  # fails on the first recording
     extractors = (short_fft, default_config("lpcc"), default_config("plp"))
-    tables, failures = harness._frame_tables(manifest, extractors, FAST)
+    results = harness._frame_tables(manifest, extractors, FAST)
+    tables = {kind: result for kind, result in results.items() if isinstance(result, harness.FrameTable)}
+    failures = failure_reasons(results)
     assert tables == {}
     assert failures["mfcc"].startswith("FrameExceedsFft: ")
     assert failures["lpcc"].startswith("UnreadableAudio: ") and missing in failures["lpcc"]

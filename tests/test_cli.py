@@ -29,7 +29,7 @@ from voxbench.bench import (
     speaker_scaling_curve,
 )
 from voxbench.bench.corpus import CorpusManifest, ManifestEntry, save_manifest
-from voxbench.bench.reports import format_float
+from voxbench.bench.reports import format_float, write_report_json
 from voxbench.cli import (
     MODEL_ALIASES,
     _extractor_config_from_args,
@@ -464,6 +464,34 @@ def test_train_and_predict_roundtrip(embedding_csv, tmp_path):
     predicted = [r[2] for r in rows[1:]]
     agree = np.mean([t == p for t, p in zip(truth, predicted)])
     assert agree > 0.9
+
+
+def test_train_params_keep_a_list_value_whole(embedding_csv, tmp_path):
+    model_file = tmp_path / "model.pkl"
+    assert main(["train", "--in", str(embedding_csv), "--model", "ffnn",
+                 "--params", "hidden=[30,15],epochs=2", "--out", str(model_file)]) == 0
+    with open(model_file, "rb") as fh:
+        net = pickle.load(fh)["model"].payload
+    assert net.w1.shape[1] == 30 and net.w2.shape == (30, 15)
+
+
+@pytest.mark.parametrize("params", ["k=3,foo", "foo"])
+def test_train_params_name_a_malformed_item(embedding_csv, tmp_path, capsys, params):
+    assert main(["train", "--in", str(embedding_csv), "--model", "knn",
+                 "--params", params, "--out", str(tmp_path / "model.pkl")]) == 2
+    assert capsys.readouterr().err == "error: malformed parameter 'foo'; expected key=value\n"
+
+
+@pytest.mark.parametrize(
+    "write", [lambda path: path.write_text("not a model\n"), lambda path: path.write_bytes(pickle.dumps([1, 2]))],
+    ids=["text", "pickled_list"],
+)
+def test_predict_on_a_non_model_file_prints_an_error_line(embedding_csv, tmp_path, capsys, write):
+    model_file, out = tmp_path / "model.pkl", tmp_path / "pred.csv"
+    write(model_file)
+    assert main(["predict", "--in", str(embedding_csv), "--model-file", str(model_file), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {model_file} is not a version-1 model file\n"
+    assert not out.exists()
 
 
 def test_bench_and_roc(cli_corpus, tmp_path):
@@ -918,6 +946,97 @@ def _tiny_report() -> dict:
         ],
         "scaling_curve": {"rows": [(2, 100.0, None), (3, 200 / 3, -100 / 3)]},
     }
+
+
+# --- voxbench diff -------------------------------------------------------------------
+
+def _diff_report() -> dict:
+    """Two ok cells with confusion and ROC curves, one failed cell, and a two-row scaling curve."""
+    def ok(reducer):
+        return {"reducer": reducer, "extractor": "mfcc", "classifier": "weighted knn", "status": "ok",
+                "frame_accuracy_pct": 75.0, "recording_accuracy_pct": 100.0, "distinguishable_count": 2,
+                "confusion": [[3, 1], [1, 3]],
+                "roc_curves": {speaker: [[0.0, 0.0], [0.25, 0.75], [1.0, 1.0]] for speaker in ("0", "1")}}
+
+    return {
+        "master_seed": 0,
+        "combinations": [
+            ok("pca"),
+            ok("sne"),
+            {"reducer": "pca", "extractor": "lpcc", "classifier": "weighted knn", "status": "failed",
+             "failure_reason": "KTooLarge: k=10 exceeds 4 training points"},
+        ],
+        "scaling_curve": {"rows": [[2, 100.0, None], [3, 75.0, -25.0]]},
+    }
+
+
+def _diff(tmp_path, capsys, a: dict, b: dict):
+    """voxbench diff on a and b as written report.json files: its exit code and stdout lines."""
+    write_report_json(a, tmp_path / "a.json")
+    write_report_json(b, tmp_path / "b.json")
+    code = main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_diff_of_identical_reports_exits_0_silently(tmp_path, capsys):
+    report = _diff_report()
+    report["combinations"][0]["frame_accuracy_pct"] = float("nan")  # NaN equals NaN
+    assert _diff(tmp_path, capsys, report, report) == (0, [])
+
+
+def test_diff_reports_a_moved_roc_point_against_its_own_cell_only(tmp_path, capsys):
+    moved = _diff_report()
+    moved["combinations"][1]["roc_curves"]["1"][1] = [0.25, 0.5]
+    assert _diff(tmp_path, capsys, _diff_report(), moved) == (
+        1, ["cell sne/mfcc/weighted knn: ROC of speakers 1; max |diff| 0.25"]
+    )
+
+
+def test_diff_reports_a_flip_from_ok_to_failed(tmp_path, capsys):
+    flipped = _diff_report()
+    flipped["combinations"][0] = {**_diff_report()["combinations"][2], "extractor": "mfcc"}
+    assert _diff(tmp_path, capsys, _diff_report(), flipped) == (1, ["cell pca/mfcc/weighted knn: status ok -> failed"])
+
+
+def test_diff_gives_a_cells_metric_deltas_and_changed_confusion_entries(tmp_path, capsys):
+    moved = _diff_report()
+    moved["combinations"][1].update(frame_accuracy_pct=62.5, distinguishable_count=1, confusion=[[2, 2], [1, 3]])
+    line = "cell sne/mfcc/weighted knn: frame accuracy -12.5; distinguishable -1; 2 confusion entries; max |diff| 12.5"
+    assert _diff(tmp_path, capsys, _diff_report(), moved) == (1, [line])
+
+
+def test_diff_reports_an_added_key_as_added(tmp_path, capsys):
+    added = _diff_report()
+    added["note"] = "x"
+    added["combinations"][1]["test_frames"] = 8
+    added["combinations"].append({**added["combinations"][2], "classifier": "fine svm"})
+    added["scaling_curve"]["rows"].append([4, 50.0, -25.0])
+    assert _diff(tmp_path, capsys, _diff_report(), added) == (1, [
+        "only in B: cell pca/lpcc/fine svm",
+        "cell sne/mfcc/weighted knn: test_frames only in B",
+        "only in B: note",
+        "only in B: scaling_curve.rows[4]",
+    ])
+    assert _diff(tmp_path, capsys, added, _diff_report())[1][0] == "only in A: cell pca/lpcc/fine svm"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("{", "not JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ("[]", "not a sweep report; it needs a 'combinations' list"),
+        ('{"combinations": [{"reducer": "pca"}]}',
+         "each combination must name a distinct reducer, extractor and classifier"),
+        ('{"combinations": [], "scaling_curve": {"rows": [[]]}}',
+         "each scaling_curve row must be a list that starts with its speaker count"),
+    ],
+)
+def test_diff_rejects_a_file_that_is_no_report(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    write_report_json(_diff_report(), tmp_path / "good.json")
+    assert main(["diff", str(tmp_path / "good.json"), str(bad)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
 def test_grid_table_bytes(tmp_path):

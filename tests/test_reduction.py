@@ -23,6 +23,7 @@ from voxbench.reduction import (
     _neg_entropy,
     _student_t_q,
     _student_t_step,
+    _symmetrize,
     calibrated_conditionals,
     default_learning_rate,
     default_perplexity,
@@ -124,7 +125,7 @@ def test_pca_dimension_mismatch():
 def test_two_point_joint_probability():
     cond = sne_conditional_q(np.array([[0.0], [3.0]]))
     np.testing.assert_allclose(cond, [[0, 1], [1, 0]])
-    joint = _gaussian_terms(cond)[0] / 4  # P + P^T over 2n, as the Student-t fit reads it
+    joint = _symmetrize(cond) / 4  # P + P^T over 2n, as the Student-t fit reads it
     assert joint[0, 1] == pytest.approx(0.5)
     assert joint[1, 0] == pytest.approx(0.5)
 
@@ -419,7 +420,7 @@ def test_student_t_step_equals_cost_and_gradient_oracles(case, data, y):
     q, w = _student_t_q(pairwise_sq_distances(y))
     m = (p - q) * w
     expected_cost, expected_grad = sne_cost(p, q), 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
-    s = _gaussian_terms(cond)[0]
+    s = _symmetrize(cond)
     cost, grad = _student_t_step(y, s, _neg_entropy(s))
     assert abs(cost - expected_cost) <= 1e-12 * abs(expected_cost)
     np.testing.assert_allclose(grad, expected_grad, rtol=0, atol=1e-12 * np.abs(expected_grad).max())
@@ -430,7 +431,7 @@ def test_student_t_fit_equals_plain_loop_over_its_kernel():
     data = np.vstack([rng.normal(0, 1, (15, 4)), rng.normal(6, 1, (15, 4))])
     config = SneConfig(perplexity=8.0, seed=3, kernel="student-t", learning_rate=30.0,
                        max_iter=MOMENTUM_SWITCH_ITER + 20)
-    s = _gaussian_terms(calibrated_conditionals(data, config.perplexity))[0]
+    s = _symmetrize(calibrated_conditionals(data, config.perplexity))
     y = np.random.default_rng(config.seed).normal(0.0, INIT_STD, size=(30, config.target_dim))
     velocity = np.zeros_like(y)
     trace = []
@@ -443,6 +444,18 @@ def test_student_t_fit_equals_plain_loop_over_its_kernel():
     emb = sne_fit(data, config)
     np.testing.assert_array_equal(emb.coords, y)
     np.testing.assert_array_equal(emb.cost_trace, trace)
+
+
+def test_student_t_fit_skips_the_gaussian_only_terms(monkeypatch):
+    def gaussian_terms(p):
+        raise AssertionError("a Student-t fit read the Gaussian kernel's terms")
+
+    monkeypatch.setattr(reduction, "_gaussian_terms", gaussian_terms)
+    data = np.random.default_rng(25).normal(0, 1, (30, 4))
+    emb = sne_fit(data, SneConfig(perplexity=8.0, kernel="student-t", max_iter=5))
+    assert np.isfinite(emb.coords).all()
+    with pytest.raises(AssertionError, match="Gaussian kernel's terms"):
+        sne_fit(data, SneConfig(perplexity=8.0, max_iter=5))
 
 
 def test_fit_detects_divergence():
