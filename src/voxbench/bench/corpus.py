@@ -44,20 +44,11 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """Recording list with speaker/sample ids; paths resolve against root."""
+    """Recording list with speaker/sample ids; paths resolve against root. run_sweep checks its split's rules."""
 
     entries: tuple[ManifestEntry, ...]
     root: Path
     sample_rate: int | None = None
-
-    def __post_init__(self):
-        speakers = {}
-        for entry in self.entries:
-            speakers.setdefault(entry.speaker, set()).add(entry.sample)
-        if len(speakers) < 2:
-            raise ValueError("corpus needs at least two speakers")
-        if any(len(samples) < 2 for samples in speakers.values()):
-            raise ValueError("every speaker needs at least two recordings")
 
     @property
     def speaker_ids(self) -> list[int]:
@@ -94,6 +85,8 @@ def load_manifest(csv_path) -> CorpusManifest:
                 )
             except (TypeError, ValueError):  # int(None) for a short row
                 raise ValueError(f"{csv_path}: line {reader.line_num}: speaker and sample must be integers") from None
+    if not entries:
+        raise ValueError(f"{csv_path}: no data rows")
     return CorpusManifest(entries=tuple(entries), root=csv_path.parent)
 
 

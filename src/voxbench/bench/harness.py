@@ -138,12 +138,26 @@ class FrameTable:
     features: np.ndarray
     speakers: np.ndarray  # dense 0..K-1
     recordings: np.ndarray  # index into manifest.entries
-    class_count: int
 
     def first_speakers(self, count: int) -> "FrameTable":
         """The rows of dense speakers 0..count-1, in table order."""
         rows = self.speakers < count
-        return FrameTable(self.features[rows], self.speakers[rows], self.recordings[rows], count)
+        return FrameTable(self.features[rows], self.speakers[rows], self.recordings[rows])
+
+
+def _check_split(manifest: CorpusManifest) -> None:
+    """Raise ValueError unless the manifest has two speakers or more, each with two recordings or more.
+
+    holdout_train_mask holds out one recording per speaker, and a speaker
+    with one recording would have no training rows.
+    """
+    samples: dict[int, set] = {}
+    for entry in manifest.entries:
+        samples.setdefault(entry.speaker, set()).add(entry.sample)
+    if len(samples) < 2:
+        raise ValueError("corpus needs at least two speakers")
+    if any(len(ids) < 2 for ids in samples.values()):
+        raise ValueError("every speaker needs at least two recordings")
 
 
 def holdout_train_mask(manifest: CorpusManifest, table: FrameTable, rotation: int) -> np.ndarray:
@@ -202,8 +216,9 @@ def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: Ha
     """The report fields of a trained model on the test rows of data."""
     true_labels, test_recordings = data.test_labels, table.recordings[~data.train_mask]
     predicted, scores = predict(model, data.test_points)
+    class_count = data.class_count
 
-    confusion = confusion_matrix(true_labels, predicted, table.class_count)
+    confusion = confusion_matrix(true_labels, predicted, class_count)
     total = int(confusion.sum())
     accuracy_pct = 100.0 * confusion.trace() / total
     row_sums = confusion.sum(axis=1)
@@ -211,7 +226,7 @@ def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: Ha
     distinguishable = int((recalls > settings.recall_threshold).sum())
 
     curves = {}
-    for speaker in range(table.class_count):
+    for speaker in range(class_count):
         try:
             curves[str(speaker)] = roc_points(true_labels, scores, speaker)
         except UndefinedRoc:
@@ -221,7 +236,7 @@ def _evaluate_split(model, data: LabeledDataset, table: FrameTable, settings: Ha
     rec_hits = []
     for rec in np.flatnonzero(np.bincount(test_recordings)):
         rows = test_recordings == rec
-        votes = np.bincount(predicted[rows], minlength=table.class_count)
+        votes = np.bincount(predicted[rows], minlength=class_count)
         rec_hits.append(votes.argmax() == true_labels[rows][0])
 
     return {
@@ -308,7 +323,7 @@ def _frame_tables(
         if isinstance(values, list):
             counts = [len(block) for block in values]
             recordings = np.repeat(np.arange(len(counts)), counts)
-            results[kind] = FrameTable(np.vstack(values), np.repeat(classes, counts), recordings, len(speaker_to_class))
+            results[kind] = FrameTable(np.vstack(values), np.repeat(classes, counts), recordings)
     return results
 
 
@@ -431,14 +446,17 @@ def run_sweep(
 ) -> dict:
     """Every grid combination on one shared split; optionally writes report files.
 
-    jobs is the number of threads that run the embeddings; it must be an
-    integer >= 1. Seeds derive from (master_seed, stage tag), so
-    serial and parallel sweeps produce identical reports. A grid's scaling
-    curve adds one cell per speaker count to the grid's cells, and its result
-    is report["scaling_curve"]. The full roster is the whole-table view, so
-    it reuses the grid's embedding when the grid holds the extractor/reducer
+    The manifest must hold two speakers or more with two recordings each (the
+    split's rules), and jobs, the number of threads that run the embeddings,
+    must be an integer >= 1; both are checked before any recording is read.
+    Seeds derive from (master_seed, stage tag), so serial and parallel sweeps
+    produce identical reports. A grid's scaling curve adds one cell per
+    speaker count to the grid's cells, and its result is
+    report["scaling_curve"]. The full roster is the whole-table view, so it
+    reuses the grid's embedding when the grid holds the extractor/reducer
     pair, and the grid's cell when it holds the combination.
     """
+    _check_split(manifest)
     if isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     grid = grid or default_grid()

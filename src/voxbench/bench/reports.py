@@ -186,6 +186,29 @@ def load_report_json(path) -> dict:
         return json.load(fh)
 
 
+def load_sweep_report(path) -> tuple[dict, dict]:
+    """The sweep report at path and its cells keyed by (reducer, extractor, classifier).
+
+    Raises ValueError, naming path, if the file is not JSON or not a sweep
+    report: an object whose 'combinations' list names a distinct reducer,
+    extractor and classifier in each cell.
+    """
+    try:
+        report = load_report_json(path)
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(report, dict) or not isinstance(report.get("combinations"), list):
+        raise ValueError(f"{path}: not a sweep report; it needs a 'combinations' list")
+    cells = {}
+    for entry in report["combinations"]:
+        fields = entry if isinstance(entry, dict) else {}
+        axes = tuple(fields.get(axis) for axis in ("reducer", "extractor", "classifier"))
+        if not all(isinstance(name, str) for name in axes) or axes in cells:
+            raise ValueError(f"{path}: each combination must name a distinct reducer, extractor and classifier")
+        cells[axes] = entry
+    return report, cells
+
+
 _MISSING = object()  # the value of a key that one report lacks
 
 
@@ -200,24 +223,12 @@ def diff_reports(path_a, path_b) -> list[str]:
     names of its other changed keys. A key that one report lacks, a cell or
     curve row included, is listed as only in the other; any other value that
     differs gets its own line. NaN equals NaN. Raises ValueError if a file is
-    not a sweep report.
+    not a sweep report (load_sweep_report).
     """
 
     def keyed(path) -> dict:
         """The report with its cells keyed by reducer/extractor/classifier and its curve rows by speaker count."""
-        try:
-            report = load_report_json(path)
-        except ValueError as exc:  # malformed JSON or text that is not UTF-8
-            raise ValueError(f"{path}: not JSON: {exc}") from None
-        if not isinstance(report, dict) or not isinstance(report.get("combinations"), list):
-            raise ValueError(f"{path}: not a sweep report; it needs a 'combinations' list")
-        cells = {}
-        for entry in report["combinations"]:
-            fields = entry if isinstance(entry, dict) else {}
-            axes = [fields.get(axis) for axis in ("reducer", "extractor", "classifier")]
-            if not all(isinstance(name, str) for name in axes) or "/".join(axes) in cells:
-                raise ValueError(f"{path}: each combination must name a distinct reducer, extractor and classifier")
-            cells["/".join(axes)] = entry
+        report, cells = load_sweep_report(path)
         report = {**report, "combinations": cells}
         curve = report.get("scaling_curve")
         if isinstance(curve, dict) and "rows" in curve:
@@ -247,8 +258,9 @@ def diff_reports(path_a, path_b) -> list[str]:
     a, b = keyed(path_a), keyed(path_b)
     cells_a, cells_b = a.pop("combinations"), b.pop("combinations")
     lines = []
-    for name in sorted(cells_a.keys() | cells_b.keys()):
-        x, y = cells_a.get(name, _MISSING), cells_b.get(name, _MISSING)
+    for axes in sorted(cells_a.keys() | cells_b.keys(), key="/".join):
+        name = "/".join(axes)
+        x, y = cells_a.get(axes, _MISSING), cells_b.get(axes, _MISSING)
         diffs = list(walk(x, y))
         if not diffs:
             continue
@@ -301,6 +313,7 @@ __all__ = [
     "diff_reports",
     "format_float",
     "load_report_json",
+    "load_sweep_report",
     "round_floats",
     "write_csv",
     "write_report_json",

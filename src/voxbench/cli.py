@@ -23,7 +23,6 @@ from .bench import (
     SweepGrid,
     generate_synthetic_corpus,
     load_manifest,
-    load_report_json,
     roc_auc,
     run_sweep,
 )
@@ -33,7 +32,7 @@ from .bench.harness import (
     default_grid,
     recording_features,
 )
-from .bench.reports import diff_reports, format_float, write_csv, write_report_json
+from .bench.reports import diff_reports, format_float, load_sweep_report, write_csv, write_report_json
 from .classifiers import LabeledDataset, predict, train_by_name
 from .errors import PipelineError, check_parameter_names
 from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config
@@ -47,7 +46,7 @@ from .preprocessing import (
 from .reduction import REDUCER_NAMES, SNE_KERNELS, ReducerSpec, SneConfig, reduce_for_pipeline
 
 MODEL_FORMAT = "voxbench-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 MODEL_ALIASES = {
     "knn": "weighted knn",
@@ -193,10 +192,10 @@ def cmd_reduce(args) -> int:
     )
     sources, speakers, frames, matrix = read_feature_csv(args.in_path)
     mask = np.ones(len(matrix), bool)
-    reduced, info = reduce_for_pipeline(matrix, mask, spec.method, config=spec.sne_config(args.seed))
+    reduced, fit = reduce_for_pipeline(matrix, mask, spec.method, config=spec.sne_config(args.seed))
     write_feature_csv(args.out_path, zip(sources, speakers, frames, reduced), args.dim, "y")
     if args.trace:
-        write_csv(args.trace, ["iteration", "cost"], ([i, format_float(c)] for i, c in enumerate(info["cost_trace"])))
+        write_csv(args.trace, ["iteration", "cost"], ([i, format_float(c)] for i, c in enumerate(fit.cost_trace)))
     print(f"wrote {reduced.shape[0]} x {args.dim} embedding to {args.out_path}")
     return 0
 
@@ -223,16 +222,16 @@ def cmd_train(args) -> int:
     if (speakers < 0).any():
         return _fail("training rows must carry speaker labels")
     name = MODEL_ALIASES[args.model]
-    data = LabeledDataset(points=matrix, labels=speakers, train_mask=np.ones(len(speakers), bool))
+    # class i is the i-th smallest speaker id, as in the sweep
+    speaker_ids, classes = np.unique(speakers, return_inverse=True)
+    data = LabeledDataset(points=matrix, labels=classes, train_mask=np.ones(len(classes), bool))
     (model,) = train_by_name(name, [data], [args.seed], **_parse_params(args.params))
     if isinstance(model, PipelineError):
         raise model
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "class_count": model.class_count,
-        "input_dim": model.input_dim,
+        "speaker_ids": speaker_ids.tolist(),
         "model": model,
     }
     with open(args.out_path, "wb") as fh:
@@ -252,12 +251,12 @@ def cmd_predict(args) -> int:
     header = payload if isinstance(payload, dict) else {}
     if header.get("format") != MODEL_FORMAT or header.get("version") != MODEL_FORMAT_VERSION:
         return _fail(f"{args.model_path} is not a version-{MODEL_FORMAT_VERSION} model file")
-    model = payload["model"]
+    model, speaker_ids = payload["model"], payload["speaker_ids"]
     sources, _, frames, matrix = read_feature_csv(args.in_path)
     labels, scores = predict(model, matrix)
-    header = ["source", "frame", "predicted", *(f"score{i}" for i in range(model.class_count))]
+    header = ["source", "frame", "predicted", *(f"score{speaker}" for speaker in speaker_ids)]
     rows = (
-        [source, frame, int(label), *map(format_float, row)]
+        [source, frame, speaker_ids[label], *map(format_float, row)]
         for source, frame, label, row in zip(sources, frames, labels, scores)
     )
     write_csv(args.out_path, header, rows)
@@ -349,25 +348,22 @@ def cmd_bench(args) -> int:
 
 
 def cmd_roc(args) -> int:
-    report = load_report_json(args.report)
-    for entry in report["combinations"]:
-        matches = (
-            entry.get("extractor") == args.extractor
-            and entry.get("reducer") == args.reducer
-            and entry.get("classifier") == MODEL_ALIASES.get(args.classifier, args.classifier)
-        )
-        if matches:
-            if entry["status"] != "ok":
-                return _fail(f"combination failed: {entry.get('failure_reason')}")
-            curves = entry["roc_curves"]
-            key = str(args.speaker)
-            if key not in curves:
-                return _fail(f"no ROC curve for speaker {args.speaker}")
-            points = curves[key]
-            write_csv(args.out_path, ["fpr", "tpr"], ([format_float(fpr), format_float(tpr)] for fpr, tpr in points))
-            print(f"wrote {len(points)} ROC points (AUC {format_float(roc_auc(points))}) to {args.out_path}")
-            return 0
-    return _fail("no matching combination in the report")
+    _, cells = load_sweep_report(args.report)
+    entry = cells.get((args.reducer, args.extractor, MODEL_ALIASES.get(args.classifier, args.classifier)))
+    if entry is None:
+        return _fail("no matching combination in the report")
+    if entry.get("status") != "ok":
+        return _fail(f"combination failed: {entry.get('failure_reason')}")
+    curves = entry.get("roc_curves")
+    if not isinstance(curves, dict):
+        return _fail(f"{args.report}: the combination has no 'roc_curves' object")
+    key = str(args.speaker)
+    if key not in curves:
+        return _fail(f"no ROC curve for speaker {args.speaker}")
+    points = curves[key]
+    write_csv(args.out_path, ["fpr", "tpr"], ([format_float(fpr), format_float(tpr)] for fpr, tpr in points))
+    print(f"wrote {len(points)} ROC points (AUC {format_float(roc_auc(points))}) to {args.out_path}")
+    return 0
 
 
 def cmd_diff(args) -> int:

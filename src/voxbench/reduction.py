@@ -183,10 +183,9 @@ class ReducerSpec:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Low-dimensional coordinates plus the optimizer's cost trace and learning rate."""
+    """Low-dimensional coordinates plus the optimizer's learning rate and cost per iteration, the last being the final cost."""
 
     coords: np.ndarray
-    final_cost: float
     cost_trace: np.ndarray = field(repr=False)
     learning_rate: float
 
@@ -446,17 +445,18 @@ def sne_fit(data, config: SneConfig) -> Embedding:
 
     if not np.isfinite(y).all():
         raise NonFiniteCost(f"coordinates diverged after {config.max_iter} iterations")
-    return Embedding(coords=y, final_cost=float(trace[-1]), cost_trace=trace, learning_rate=rate)
+    return Embedding(coords=y, cost_trace=trace, learning_rate=rate)
 
 
 # --- pipeline glue -------------------------------------------------------------
 
-def reduce_for_pipeline(data, train_mask, method: str, config: SneConfig = SneConfig()) -> tuple[np.ndarray, dict]:
-    """Reduce a combined train+test matrix to config.target_dim columns for the classification stage.
+def reduce_for_pipeline(data, train_mask, method: str, config: SneConfig = SneConfig()) -> tuple[np.ndarray, PcaModel | Embedding]:
+    """Reduce a combined train+test matrix to config.target_dim columns for the classification stage; returns them and the fit.
 
     PCA fits on training rows only and projects everything (inductive); it
-    reads no other field of config. The neighbor embedding fits on all rows
-    jointly (is_transductive) and the mask is left to downstream consumers.
+    reads no other field of config, and the fit is its PcaModel. The neighbor
+    embedding fits on all rows jointly (is_transductive), the mask is left to
+    downstream consumers, and the fit is the Embedding whose coords are returned.
     """
     if method not in REDUCER_NAMES:
         raise ValueError(f"method must be one of {REDUCER_NAMES}")
@@ -464,9 +464,8 @@ def reduce_for_pipeline(data, train_mask, method: str, config: SneConfig = SneCo
     mask = np.asarray(train_mask, dtype=bool)
     if mask.shape != (x.shape[0],):
         raise DimensionMismatch("train_mask length must match the number of rows")
-    info = {"method": method, "transductive": is_transductive(method)}
     if method == "pca":
-        return pca_transform(pca_fit(x[mask], config.target_dim), x), info
+        model = pca_fit(x[mask], config.target_dim)
+        return pca_transform(model, x), model
     embedding = sne_fit(x, config)
-    fit = {"final_cost": embedding.final_cost, "cost_trace": embedding.cost_trace}
-    return embedding.coords, {**info, **fit, "learning_rate": embedding.learning_rate}
+    return embedding.coords, embedding

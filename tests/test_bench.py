@@ -137,15 +137,19 @@ def test_manifest_roundtrip(small_corpus):
     assert sub.speaker_ids == [0, 1]
 
 
-def test_manifest_validation(tmp_path):
+def test_manifest_validation(tmp_path, monkeypatch):
     from voxbench.bench import CorpusManifest, ManifestEntry
 
-    with pytest.raises(ValueError):
-        CorpusManifest(entries=(ManifestEntry("a.wav", 0, 0), ManifestEntry("b.wav", 0, 1)), root=tmp_path)
-    with pytest.raises(ValueError):
-        CorpusManifest(
-            entries=(ManifestEntry("a.wav", 0, 0), ManifestEntry("b.wav", 1, 0)), root=tmp_path
-        )
+    def refuse(path):
+        raise AssertionError(f"read {path} before the split's rules were checked")
+
+    monkeypatch.setattr(harness, "load_wav", refuse)
+    one_speaker = CorpusManifest(entries=(ManifestEntry("a.wav", 0, 0), ManifestEntry("b.wav", 0, 1)), root=tmp_path)
+    with pytest.raises(ValueError, match="^corpus needs at least two speakers$"):
+        run_sweep(one_speaker)
+    one_recording = CorpusManifest(entries=(ManifestEntry("a.wav", 0, 0), ManifestEntry("b.wav", 1, 0)), root=tmp_path)
+    with pytest.raises(ValueError, match="^every speaker needs at least two recordings$"):
+        run_sweep(one_recording)
 
 
 # --- split ---------------------------------------------------------------------
@@ -195,7 +199,7 @@ def test_shared_pass_tables_equal_one_extractor_passes(small_corpus, cap):
     for extractor in FRAME_GRID:
         alone = harness._frame_tables(small_corpus, (extractor,), settings)[extractor.kind]
         shared = tables[extractor.kind]
-        assert shared.class_count == alone.class_count
+        assert np.unique(shared.speakers).tolist() == list(range(len(small_corpus.speaker_ids)))  # every speaker has rows
         for name in ("features", "speakers", "recordings"):
             got, want = getattr(shared, name), getattr(alone, name)
             assert got.dtype == want.dtype and got.shape == want.shape
@@ -431,9 +435,7 @@ def test_failed_sne_pair_fails_only_its_cells_on_the_pool(small_corpus, lpcc_row
     grid = pair_grid(ReducerSpec("sne", perplexity=perplexity, max_iter=30))
     tables = harness._frame_tables(small_corpus, grid.extractors, FAST)
     lpcc = tables["lpcc"]
-    tables["lpcc"] = harness.FrameTable(
-        lpcc.features[lpcc_rows], lpcc.speakers[lpcc_rows], lpcc.recordings[lpcc_rows], lpcc.class_count
-    )
+    tables["lpcc"] = harness.FrameTable(lpcc.features[lpcc_rows], lpcc.speakers[lpcc_rows], lpcc.recordings[lpcc_rows])
     assert len(tables["mfcc"].features) == 150  # so SNE at perplexity 50 fits mfcc and not lpcc
     entries = grid_entries(small_corpus, grid, tables, jobs=2)
     for entry in entries:

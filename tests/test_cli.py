@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -450,9 +451,11 @@ def test_train_and_predict_roundtrip(embedding_csv, tmp_path):
                  "--params", "k=3", "--out", str(model_file)]) == 0
     with open(model_file, "rb") as fh:
         payload = pickle.load(fh)
+    assert list(payload) == ["format", "version", "speaker_ids", "model"]
     assert payload["format"] == "voxbench-model"
-    assert payload["version"] == 1
-    assert payload["kind"] == "weighted knn"
+    assert payload["version"] == 2
+    assert payload["speaker_ids"] == [0, 1]
+    assert payload["model"].kind == "weighted knn"
 
     predictions = tmp_path / "pred.csv"
     assert main(["predict", "--in", str(embedding_csv), "--model-file", str(model_file),
@@ -483,15 +486,39 @@ def test_train_params_name_a_malformed_item(embedding_csv, tmp_path, capsys, par
 
 
 @pytest.mark.parametrize(
-    "write", [lambda path: path.write_text("not a model\n"), lambda path: path.write_bytes(pickle.dumps([1, 2]))],
-    ids=["text", "pickled_list"],
+    "write",
+    [
+        lambda path: path.write_text("not a model\n"),
+        lambda path: path.write_bytes(pickle.dumps([1, 2])),
+        # the version-1 header: no speaker ids, so its classes cannot be named
+        lambda path: path.write_bytes(pickle.dumps({"format": "voxbench-model", "version": 1, "kind": "weighted knn"})),
+    ],
+    ids=["text", "pickled_list", "version_1"],
 )
 def test_predict_on_a_non_model_file_prints_an_error_line(embedding_csv, tmp_path, capsys, write):
     model_file, out = tmp_path / "model.pkl", tmp_path / "pred.csv"
     write(model_file)
     assert main(["predict", "--in", str(embedding_csv), "--model-file", str(model_file), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {model_file} is not a version-1 model file\n"
+    assert capsys.readouterr().err == f"error: {model_file} is not a version-2 model file\n"
     assert not out.exists()
+
+
+def test_train_and_predict_name_the_manifests_speaker_ids(cli_corpus, tmp_path):
+    manifest = load_manifest(cli_corpus / "manifest.csv")
+    shifted = [dataclasses.replace(e, speaker=(5, 9)[e.speaker]) for e in manifest.entries]
+    save_manifest(CorpusManifest(entries=tuple(shifted), root=cli_corpus), tmp_path / "manifest.csv")
+    for entry in shifted:
+        shutil.copy(cli_corpus / entry.path, tmp_path / entry.path)
+    features, embedding, model, out = (tmp_path / name for name in ("f.csv", "e.csv", "model.pkl", "pred.csv"))
+    assert main(["extract", "--in", str(tmp_path / "manifest.csv"), "--method", "mfcc", "--out", str(features)]) == 0
+    assert main(["reduce", "--in", str(features), "--method", "pca", "--out", str(embedding)]) == 0
+    assert main(["train", "--in", str(embedding), "--model", "knn", "--params", "k=3", "--out", str(model)]) == 0
+    assert main(["predict", "--in", str(embedding), "--model-file", str(model), "--out", str(out)]) == 0
+    rows = read_csv(out)
+    assert rows[0] == ["source", "frame", "predicted", "score5", "score9"]
+    truth = [row[1] for row in read_csv(embedding)[1:]]
+    assert {row[2] for row in rows[1:]} == set(truth) == {"5", "9"}
+    assert np.mean([t == row[2] for t, row in zip(truth, rows[1:])]) > 0.9
 
 
 def test_bench_and_roc(cli_corpus, tmp_path):
@@ -700,6 +727,7 @@ def test_empty_scaling_curve_is_the_default_curve(cli_corpus, tmp_path, monkeypa
     [
         ("path,speaker\na.wav,0\n", "header must name the columns path,speaker,sample"),
         ("path,speaker,sample\na.wav,0,0\nb.wav,0,x\n", "line 3: speaker and sample must be integers"),
+        ("path,speaker,sample\n", "no data rows"),
     ],
 )
 def test_bench_rejects_malformed_manifest(tmp_path, capsys, manifest, message):
@@ -913,6 +941,24 @@ def test_predictions_csv_bytes(tmp_path):
     assert main(["predict", "--in", str(queries), "--model-file", str(model), "--out", str(out)]) == 0
     # inverse squared distances 16 : 1.77778 and 0.25 : 1
     assert out.read_bytes() == b"source,frame,predicted,score0,score1\r\nq.wav,0,0,0.9,0.1\r\nq.wav,1,1,0.2,0.8\r\n"
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ({}, "not a sweep report; it needs a 'combinations' list"),
+        ([1], "not a sweep report; it needs a 'combinations' list"),
+        ({"combinations": [{"extractor": "mfcc", "reducer": "sne", "classifier": "weighted knn", "status": "ok"}]},
+         "the combination has no 'roc_curves' object"),
+    ],
+    ids=["empty_object", "list", "ok_cell_without_curves"],
+)
+def test_roc_on_a_file_that_is_no_report_prints_an_error_line(tmp_path, capsys, report, message):
+    path, out = tmp_path / "report.json", tmp_path / "roc.csv"
+    path.write_text(json.dumps(report))
+    assert main(["roc", "--report", str(path), "--speaker", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_roc_csv_bytes(tmp_path):
@@ -1135,3 +1181,20 @@ def test_extract_names_a_failed_recording_as_the_sweep_does(cli_corpus, tmp_path
     grid = SweepGrid((default_config("mfcc"),), (ReducerSpec("pca"),), (ClassifierSpec("weighted knn"),))
     (entry,) = run_sweep(load_manifest(corpus / "manifest.csv"), grid)["combinations"]
     assert entry["failure_reason"] == reason
+
+
+def test_extract_reads_a_one_speaker_manifest_that_bench_rejects(cli_corpus, tmp_path, monkeypatch, capsys):
+    manifest = load_manifest(cli_corpus / "manifest.csv")
+    first = tuple(e for e in manifest.entries if e.speaker == 0)
+    for entry in first:
+        shutil.copy(cli_corpus / entry.path, tmp_path / entry.path)
+    one_speaker = tmp_path / "manifest.csv"
+    save_manifest(CorpusManifest(entries=first, root=tmp_path), one_speaker)
+    features = tmp_path / "features.csv"
+    assert main(["extract", "--in", str(one_speaker), "--method", "mfcc", "--out", str(features)]) == 0
+    assert {row[0] for row in read_csv(features)[1:]} == {e.path for e in first}
+    _no_wav_reads(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["bench", "--manifest", str(one_speaker), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: corpus needs at least two speakers\n"
+    assert not out.exists()

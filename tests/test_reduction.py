@@ -16,6 +16,8 @@ from voxbench.reduction import (
     MOMENTUM_SWITCH_ITER,
     PERPLEXITY_TOL,
     REDUCER_NAMES,
+    Embedding,
+    PcaModel,
     ReducerSpec,
     SneConfig,
     _gaussian_step,
@@ -340,7 +342,6 @@ def test_fit_decreases_cost():
     data = rng.normal(0, 1, (25, 4))
     emb = sne_fit(data, SneConfig(perplexity=8.0, seed=1))
     assert emb.cost_trace[-1] < emb.cost_trace[0]
-    assert emb.final_cost == emb.cost_trace[-1]
     assert np.isfinite(emb.coords).all()
 
 
@@ -475,8 +476,8 @@ def test_student_t_kernel_also_descends():
 def test_student_t_fit_at_default_settings_separates_three_blobs():
     labels = np.repeat(np.arange(3), 100)
     data = np.random.default_rng(28).normal(0, 1, (300, 8)) + 10.0 * np.eye(3, 8)[labels]
-    out, info = reduce_for_pipeline(data, np.ones(300, bool), "sne", config=SneConfig(kernel="student-t"))
-    assert info["learning_rate"] == default_learning_rate(300) == 25.0
+    out, fit = reduce_for_pipeline(data, np.ones(300, bool), "sne", config=SneConfig(kernel="student-t"))
+    assert fit.learning_rate == default_learning_rate(300) == 25.0
     d2 = pairwise_sq_distances(out)
     np.fill_diagonal(d2, np.inf)
     assert (labels[d2.argmin(axis=1)] == labels).mean() >= 0.95  # leave-one-out 1-NN; 0.82 at a rate of 0.2
@@ -501,19 +502,19 @@ def test_pipeline_pca_ignores_test_rows_when_fitting():
     mask = np.concatenate([np.ones(30, bool), np.zeros(5, bool)])
     mild = np.vstack([train, rng.normal(0, 1, (5, 4))])
     wild = np.vstack([train, rng.normal(0, 1, (5, 4)) * 100])
-    out_mild, info = reduce_for_pipeline(mild, mask, "pca", config=SneConfig(target_dim=2))
+    out_mild, fit = reduce_for_pipeline(mild, mask, "pca", config=SneConfig(target_dim=2))
     out_wild, _ = reduce_for_pipeline(wild, mask, "pca", config=SneConfig(target_dim=2))
     np.testing.assert_allclose(out_mild[:30], out_wild[:30], atol=1e-12)
-    assert info == {"method": "pca", "transductive": False}
+    assert isinstance(fit, PcaModel) and np.array_equal(fit.mean_vector, train.mean(axis=0))
 
 
 def test_pipeline_sne_is_transductive():
     rng = np.random.default_rng(18)
     data = rng.normal(0, 1, (24, 4))
     mask = np.arange(24) < 16
-    out, info = reduce_for_pipeline(data, mask, "sne", config=SneConfig(perplexity=6.0, seed=0))
+    out, fit = reduce_for_pipeline(data, mask, "sne", config=SneConfig(perplexity=6.0, seed=0))
     assert out.shape == (24, 2)
-    assert info["transductive"] is True
+    assert isinstance(fit, Embedding) and fit.coords is out  # one fit over every row, test rows included
 
 
 def test_pipeline_all_train_mask_matches_plain_fit():
@@ -532,9 +533,20 @@ def test_pipeline_all_train_mask_matches_plain_fit():
 def test_pipeline_keeps_config_target_dim_for_every_method(method):
     data = np.random.default_rng(26).normal(0, 1, (24, 5))
     config = SneConfig(target_dim=3, perplexity=6.0, max_iter=20, seed=1)
-    out, info = reduce_for_pipeline(data, np.arange(24) < 16, method, config=config)
+    out, fit = reduce_for_pipeline(data, np.arange(24) < 16, method, config=config)
     assert out.shape == (24, 3)
-    assert info["transductive"] is is_transductive(method)
+    assert isinstance(fit, Embedding if is_transductive(method) else PcaModel)
+
+
+def test_pipeline_returns_the_fit_of_its_coordinates():
+    data = np.random.default_rng(29).normal(0, 1, (24, 5))
+    mask = np.arange(24) < 16
+    config = SneConfig(perplexity=6.0, max_iter=20, seed=1)
+    out, fit = reduce_for_pipeline(data, mask, "pca", config=config)
+    assert pca_transform(fit, data).tobytes() == out.tobytes()
+    np.testing.assert_array_equal(fit.mean_vector, data[mask].mean(axis=0))
+    out, fit = reduce_for_pipeline(data, mask, "sne", config=config)
+    assert fit.coords is out and len(fit.cost_trace) == config.max_iter
 
 
 def test_pipeline_names_the_reducers_for_an_unknown_method():
