@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import numbers
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -265,7 +264,7 @@ def recording_features(path, name: str, extractors, sample_rate=None, max_frames
     """The recording's sample rate and, per extractor, its FeatureMatrix or the PipelineError that stopped it.
 
     A read, sample-rate (unless sample_rate is None) or trimming (unless trim is false) error stops every extractor:
-    it is every item, and the sample rate returned is the one given. Trimming silences the contamination warning.
+    it is every item, and the sample rate returned is the one given. A warning raised by a stage reaches the caller.
     Errors not from the reader, which names the file, lead with name.
     """
     try:
@@ -276,11 +275,7 @@ def recording_features(path, name: str, extractors, sample_rate=None, max_frames
         if sample_rate is not None and signal.sample_rate != sample_rate:
             raise PipelineError(f"sample rate {signal.sample_rate} differs from corpus {sample_rate}")
         if trim:
-            model = fit_silence_model(signal)
-            with warnings.catch_warnings():
-                # speech-dense recordings trip the contamination warning by design
-                warnings.simplefilter("ignore")
-                signal = remove_silence(signal, model).trimmed
+            signal = remove_silence(signal, fit_silence_model(signal)).trimmed
     except PipelineError as exc:
         return sample_rate, [type(exc)(f"{name}: {exc}")] * len(extractors)
     features = []

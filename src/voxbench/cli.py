@@ -33,13 +33,15 @@ from .bench.harness import (
     recording_features,
 )
 from .bench.reports import diff_reports, format_float, load_sweep_report, write_csv, write_report_json
-from .classifiers import LabeledDataset, predict, train_by_name
+from .classifiers import LabeledDataset, TrainedClassifier, predict, train_by_name
 from .errors import PipelineError, check_parameter_names
 from .features import EXTRACTOR_KINDS, ExtractorConfig, default_config
 from .preprocessing import (
+    CONTAMINATION_WARN_FRACTION,
     DEFAULT_BLOCK_MS,
     DEFAULT_MIN_SEGMENT_MS,
     DEFAULT_U_THRESHOLD,
+    SILENCE_HEAD_MS,
     fit_silence_model,
     remove_silence,
 )
@@ -80,7 +82,7 @@ def _csv_int(where: str, field: str, text: str) -> int:
 
 
 def read_feature_csv(path):
-    """Returns (sources, speakers, frames, matrix); speaker -1 when unlabeled."""
+    """Returns (sources, speakers, frames, matrix); a speaker is any integer, or None where its field is empty."""
     sources, speakers, frames, vectors = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -95,7 +97,7 @@ def read_feature_csv(path):
             if len(row) < 3 + value_cols:
                 raise ValueError(f"{where} has {len(row)} fields, expected {3 + value_cols}")
             sources.append(row[0])
-            speakers.append(_csv_int(where, "speaker", row[1]) if row[1] not in ("", "None") else -1)
+            speakers.append(_csv_int(where, "speaker", row[1]) if row[1] else None)
             frames.append(_csv_int(where, "frame", row[2]))
             try:
                 vector = [float(v) for v in row[3 : 3 + value_cols]]
@@ -151,6 +153,9 @@ def cmd_vad(args) -> int:
             "sample_rate": signal.sample_rate,
         }
         write_report_json(payload, args.report)
+    if result.voiced_share > CONTAMINATION_WARN_FRACTION:
+        print(f"warning: more than {CONTAMINATION_WARN_FRACTION:.0%} of blocks are voiced; "
+              f"the leading {SILENCE_HEAD_MS:g} ms may not be silence", file=sys.stderr)
     print(f"kept {len(result.trimmed)} of {len(signal)} samples in {len(result.segments)} segments")
     return 0
 
@@ -170,7 +175,7 @@ def cmd_extract(args) -> int:
         manifest = load_manifest(in_path)
         jobs = [(manifest.resolve(e), e.path, e.speaker) for e in manifest.entries]
     else:
-        jobs = [(in_path, in_path.name, -1)]
+        jobs = [(in_path, in_path.name, None)]  # an unlabeled row: an empty speaker field
     sample_rate = None
     for wav_path, source, speaker in jobs:
         sample_rate, (feats,) = recording_features(wav_path, source, [config], sample_rate, trim=not args.no_vad)
@@ -219,7 +224,7 @@ def _parse_params(spec: str | None) -> dict:
 
 def cmd_train(args) -> int:
     _, speakers, _, matrix = read_feature_csv(args.in_path)
-    if (speakers < 0).any():
+    if None in speakers:
         return _fail("training rows must carry speaker labels")
     name = MODEL_ALIASES[args.model]
     # class i is the i-th smallest speaker id, as in the sweep
@@ -249,9 +254,16 @@ def cmd_predict(args) -> int:
                 TypeError, ValueError, MemoryError):
             payload = None
     header = payload if isinstance(payload, dict) else {}
-    if header.get("format") != MODEL_FORMAT or header.get("version") != MODEL_FORMAT_VERSION:
+    model, speaker_ids = header.get("model"), header.get("speaker_ids")
+    if not (
+        header.get("format") == MODEL_FORMAT
+        and header.get("version") == MODEL_FORMAT_VERSION
+        and isinstance(model, TrainedClassifier)
+        and isinstance(speaker_ids, list)
+        and all(type(speaker) is int for speaker in speaker_ids)
+        and len(set(speaker_ids)) == len(speaker_ids) == model.class_count
+    ):
         return _fail(f"{args.model_path} is not a version-{MODEL_FORMAT_VERSION} model file")
-    model, speaker_ids = payload["model"], payload["speaker_ids"]
     sources, _, frames, matrix = read_feature_csv(args.in_path)
     labels, scores = predict(model, matrix)
     header = ["source", "frame", "predicted", *(f"score{speaker}" for speaker in speaker_ids)]
@@ -347,6 +359,10 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _is_number_pair(point) -> bool:
+    return isinstance(point, list) and len(point) == 2 and all(type(x) in (int, float) for x in point)
+
+
 def cmd_roc(args) -> int:
     _, cells = load_sweep_report(args.report)
     entry = cells.get((args.reducer, args.extractor, MODEL_ALIASES.get(args.classifier, args.classifier)))
@@ -361,6 +377,8 @@ def cmd_roc(args) -> int:
     if key not in curves:
         return _fail(f"no ROC curve for speaker {args.speaker}")
     points = curves[key]
+    if not (isinstance(points, list) and points and all(map(_is_number_pair, points))):
+        return _fail(f"{args.report}: the ROC curve of speaker {args.speaker} is not a list of (fpr, tpr) pairs")
     write_csv(args.out_path, ["fpr", "tpr"], ([format_float(fpr), format_float(tpr)] for fpr, tpr in points))
     print(f"wrote {len(points)} ROC points (AUC {format_float(roc_auc(points))}) to {args.out_path}")
     return 0

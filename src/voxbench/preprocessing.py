@@ -8,7 +8,6 @@ from it (in standardized distance) are kept as voiced.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,7 @@ DEFAULT_BLOCK_MS = 10.0
 DEFAULT_MIN_SEGMENT_MS = 50.0
 # a block is voiced when more than this share of its samples are outliers
 VOICED_FRACTION = 0.2
-# warn when this share of blocks is voiced: the leading 200 ms was likely speech
+# above this share of voiced blocks, the leading 200 ms was likely speech
 CONTAMINATION_WARN_FRACTION = 0.6
 
 
@@ -47,10 +46,12 @@ class SilenceModel:
 
 @dataclass(frozen=True)
 class VoicedSegments:
-    """Disjoint sorted (start, end) sample intervals and their concatenation."""
+    """Disjoint sorted (start, end) sample intervals, their concatenation, and the share of blocks voiced
+    before endpoints_only widened the run: above CONTAMINATION_WARN_FRACTION the leading 200 ms was likely speech."""
 
     segments: list[tuple[int, int]]
     trimmed: AudioSignal
+    voiced_share: float
 
 
 def fit_silence_model(
@@ -87,7 +88,8 @@ def remove_silence(
     voiced when more than VOICED_FRACTION of its samples satisfy
     |u| > model.u_threshold. Adjacent voiced blocks merge into segments and
     segments shorter than min_segment_ms are discarded. With endpoints_only,
-    every block between the first and last voiced one is kept.
+    every block between the first and last voiced one is kept. The result
+    carries the share of blocks that passed the voicing test.
     """
     if not math.isfinite(min_segment_ms):
         raise ValueError(f"min_segment_ms must be finite, got {min_segment_ms!r}")
@@ -110,12 +112,7 @@ def remove_silence(
     voiced = outlier_fraction > VOICED_FRACTION
     if not voiced.any():
         raise NoVoicedContent("no block passed the voicing test")
-
-    if voiced.mean() > CONTAMINATION_WARN_FRACTION:
-        warnings.warn(
-            "more than 60% of blocks are voiced; the leading 200 ms may not be silence",
-            stacklevel=2,
-        )
+    voiced_share = float(voiced.mean())
 
     if endpoints_only:
         first = int(np.argmax(voiced))
@@ -133,4 +130,5 @@ def remove_silence(
     return VoicedSegments(
         segments=segments,
         trimmed=AudioSignal(samples=trimmed, sample_rate=signal.sample_rate),
+        voiced_share=voiced_share,
     )

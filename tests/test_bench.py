@@ -224,6 +224,20 @@ def test_sweep_reads_and_trims_each_recording_once(small_corpus, monkeypatch):
     assert calls == dict.fromkeys(calls, len(small_corpus.entries))
 
 
+def test_a_warning_raised_in_the_sweeps_vad_reaches_the_caller(small_corpus, monkeypatch):
+    trim = harness.remove_silence
+
+    def warning_trim(*args, **kwargs):
+        warnings.warn("raised inside silence removal", RuntimeWarning)
+        return trim(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "remove_silence", warning_trim)
+    grid = SweepGrid((default_config("mfcc"),), (ReducerSpec("pca"),), (ClassifierSpec("weighted knn", {"k": 3}),))
+    with pytest.warns(RuntimeWarning, match="^raised inside silence removal$"):
+        report = run_sweep(small_corpus, grid=grid, settings=FAST)
+    assert [entry["status"] for entry in report["combinations"]] == ["ok"]
+
+
 # --- ROC -------------------------------------------------------------------------
 
 def test_roc_perfect_scores():
